@@ -10,6 +10,13 @@ export PYTHONPATH
 echo "== pytest =="
 python -m pytest -x -q
 
+echo "== benchmark self-tests (every perfbench workload at tiny size) =="
+# They drive each workload through the same public calls the benchmark
+# times and patches, and fail on a corrupted stream, so a change that
+# breaks a workload, its output check or a patched name (such as
+# StreamSegmenter.ingest) fails here instead of in the next benchmark run.
+python3 -m pytest perfbench -q
+
 echo "== repro stats --fast (observability smoke test) =="
 python -m repro stats --fast > /tmp/repro-stats-smoke.$$ 2>&1 || {
     cat /tmp/repro-stats-smoke.$$

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -68,6 +68,124 @@ class SegmentationConfig:
             raise ValueError("threshold must be non-negative")
 
 
+def _frame_index(ts: np.ndarray, t_start: float, frame_s: float) -> np.ndarray:
+    """Raw frame index of each timestamp: the one grid both paths use."""
+    return ((ts - t_start) / frame_s).astype(np.int64)
+
+
+def _frame_rms_kernel(
+    frames: np.ndarray,
+    ranks: np.ndarray,
+    squares: np.ndarray,
+    n_frames: int,
+    n_ranks: int,
+) -> np.ndarray:
+    """Eq. 11 over read columns: per frame, the sum over tags of RMS residual.
+
+    ``frames`` holds each read's frame in ``[0, n_frames)``, ``ranks`` its
+    tag's first-appearance rank in ``[0, n_ranks)`` and ``squares`` its
+    squared residual.  Both additions are strictly sequential:
+    ``np.bincount`` adds each (frame, tag) bin's squares in column (stream)
+    order, and ``np.add.accumulate`` adds a frame's tag terms in rank
+    order.  ``.sum(axis=1)`` must not replace the accumulate: numpy sums
+    that pairwise, which rounds differently.  A tag with no read in a frame
+    adds an exact 0.0, so every chunking of a stream gives the same bits.
+    """
+    if n_ranks == 0:
+        return np.zeros(n_frames)
+    key = frames * n_ranks + ranks
+    size = n_frames * n_ranks
+    counts = np.bincount(key, minlength=size)
+    sums = np.bincount(key, weights=squares, minlength=size)
+    terms = np.sqrt(sums / np.maximum(counts, 1)).reshape(n_frames, n_ranks)
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+class _OpenReads:
+    """Columnar buffer of the calibrated reads whose frames are still open.
+
+    Three time-ordered columns hold each read's frame index, its tag's
+    first-appearance rank and its squared calibrated residual.  :meth:`add`
+    fills them a whole chunk at a time through tag-indexed lookup arrays;
+    :meth:`close` turns a frame range into RMS values with one
+    :func:`_frame_rms_kernel` call and drops those reads.
+    """
+
+    def __init__(self, calibration: StaticCalibration) -> None:
+        ids = np.array(sorted(calibration.tags), dtype=np.int64)
+        # Tag id ``t`` looks up slot ``clip(t - lo, 0, top)`` with ``lo`` one
+        # below the smallest calibrated id: slots 1..top-1 span the
+        # calibrated ids, while slots 0 and ``top`` catch every id below and
+        # above them and are never known.  A raw id must not index the
+        # tables, because numpy wraps negative indices.
+        self._lo = int(ids[0]) - 1
+        self._top = int(ids[-1]) - self._lo + 1
+        self._known = np.zeros(self._top + 1, dtype=bool)
+        self._known[ids - self._lo] = True
+        self._centre = np.zeros(self._top + 1)
+        self._centre[ids - self._lo] = [calibration.central_phase(int(i)) for i in ids]
+        self._rank = np.full(self._top + 1, -1, dtype=np.int64)
+        self.n_ranks = 0
+        self.closed = 0  # frames before this index are closed
+        self._frames = np.empty(0, dtype=np.int64)
+        self._ranks = np.empty(0, dtype=np.int64)
+        self._squares = np.empty(0)
+
+    def add(self, frames: np.ndarray, tags: np.ndarray, phases: np.ndarray) -> None:
+        """Append one time-ordered chunk.
+
+        Reads of uncalibrated tags are skipped, and so are reads in an
+        already closed frame, which only a chunk out of time order holds.
+        """
+        slot = np.clip(np.asarray(tags, dtype=np.int64) - self._lo, 0, self._top)
+        keep = self._known[slot] & (frames >= self.closed)
+        if not keep.all():
+            frames, slot, phases = frames[keep], slot[keep], phases[keep]
+        ranks = self._rank[slot]
+        fresh = ranks < 0
+        if fresh.any():
+            uniq, first = np.unique(slot[fresh], return_index=True)
+            order = uniq[np.argsort(first, kind="stable")]
+            self._rank[order] = np.arange(self.n_ranks, self.n_ranks + order.size)
+            self.n_ranks += order.size
+            ranks = self._rank[slot]
+        residuals = fold_to_pi_many(phases - self._centre[slot])
+        self._frames = np.concatenate((self._frames, frames))
+        self._ranks = np.concatenate((self._ranks, ranks))
+        self._squares = np.concatenate((self._squares, residuals * residuals))
+
+    def close(self, upto: int, fold_last: bool = False) -> np.ndarray:
+        """RMS of frames ``[closed, upto)``; their reads leave the buffer.
+
+        ``fold_last`` is the end-of-log clamp: every read at or past
+        ``upto`` folds into frame ``upto - 1``.
+        """
+        frames = self._frames
+        if fold_last:
+            frames = np.minimum(frames, upto - 1)
+        done = frames < upto
+        rms = _frame_rms_kernel(
+            frames[done] - self.closed, self._ranks[done], self._squares[done],
+            upto - self.closed, self.n_ranks,
+        )
+        keep = ~done
+        self._frames = frames[keep]
+        self._ranks = self._ranks[keep]
+        self._squares = self._squares[keep]
+        self.closed = upto
+        return rms
+
+    def peek(self, index: int) -> Optional[float]:
+        """RMS of open frame ``index`` so far (``None`` if it has no reads)."""
+        sel = self._frames == index
+        if not sel.any():
+            return None
+        return float(_frame_rms_kernel(
+            self._frames[sel] - index, self._ranks[sel], self._squares[sel],
+            1, self.n_ranks,
+        )[0])
+
+
 def frame_rms(
     log: ReportLog,
     calibration: StaticCalibration,
@@ -76,34 +194,18 @@ def frame_rms(
     """Per-frame RMS of calibrated phase residuals (Eq. 11).
 
     Returns ``(frame_start_times, rms_values)``.  Frames with no reads at
-    all carry RMS 0 (an idle pad is a quiet pad).
+    all carry RMS 0 (an idle pad is a quiet pad).  A read exactly on the
+    end boundary belongs to the last frame.
     """
     if len(log) == 0:
         return np.array([]), np.array([])
+    ts, tags, phases = log.columns()[:3]
     t_start, t_end = log.start_time, log.end_time
     n_frames = max(1, int(math.ceil((t_end - t_start) / frame_s)))
-    sums = np.zeros(n_frames)  # per-frame sum over tags of sqrt(mean(p^2))
-
-    per_tag = log.per_tag()
-    for idx, series in per_tag.items():
-        if idx not in calibration.tags:
-            continue
-        centre = calibration.central_phase(idx)
-        residuals = fold_to_pi_many(series.phases - centre)
-        frames = np.minimum(
-            ((series.timestamps - t_start) / frame_s).astype(int), n_frames - 1
-        )
-        # Per-frame RMS via bincount: reads arrive in timestamp order, so
-        # bincount accumulates each frame's squares in the same order as the
-        # masked-mean it replaces (bit-identical for per-frame read counts
-        # below numpy's pairwise-summation block size).
-        counts = np.bincount(frames, minlength=n_frames)
-        squares = np.bincount(frames, weights=residuals * residuals, minlength=n_frames)
-        hit = counts > 0
-        sums[hit] += np.sqrt(squares[hit] / counts[hit])
-
+    reads = _OpenReads(calibration)
+    reads.add(_frame_index(ts, t_start, frame_s), tags, phases)
     times = t_start + frame_s * np.arange(n_frames)
-    return times, sums
+    return times, reads.close(n_frames, fold_last=True)
 
 
 def window_std(rms: np.ndarray, window_frames: int) -> np.ndarray:
@@ -353,9 +455,13 @@ class StreamSegmenter:
 
     How the equivalence is kept exact:
 
-    * frames accumulate per-(frame, tag) squared residuals read-by-read —
-      the same sequential order ``np.bincount`` uses — and a frame's RMS
-      sums its tags in global first-appearance order, matching
+    * reads wait in a columnar buffer (frame index, tag first-appearance
+      rank, squared residual, in stream order) until their frame closes;
+      frames close through :func:`_frame_rms_kernel`, the kernel batch
+      :func:`frame_rms` calls on the whole log.  The addition order is
+      the same for any chunking: ``np.bincount`` adds each (frame, tag)
+      bin's reads in stream order, and a frame's tag terms are added left
+      to right in global first-appearance order, matching
       ``ReportLog.per_tag``;
     * a frame closes only when no future read can land in it; the batch
       path's end-of-log clamp (a read exactly on the final frame boundary
@@ -383,10 +489,7 @@ class StreamSegmenter:
         # -- frame accumulation state --
         self._t_start: Optional[float] = None
         self._t_max: Optional[float] = None
-        # open frames: raw frame index -> {tag: [squared residuals, read order]}
-        self._open: Dict[int, Dict[int, List[float]]] = {}
-        self._appearance: Dict[int, int] = {}   # tag -> global first-seen rank
-        self._closed_frames = 0                 # frames 0.._closed_frames-1 have RMS
+        self._reads = _OpenReads(calibration)   # frames before .closed have RMS
         # -- rms / std rings (absolute frame index = ring index + _base) --
         self._base = 0
         self._rms: List[float] = []
@@ -430,25 +533,6 @@ class StreamSegmenter:
 
     # -- provisional view ----------------------------------------------
 
-    def _partial_frame_rms(self, index: int) -> Optional[float]:
-        """Non-destructive RMS peek of a still-open frame (or ``None``).
-
-        Sums tags in the same first-appearance order :meth:`_close_frame`
-        will use, but leaves the accumulation buckets untouched so the
-        eventual close stays bit-identical.
-        """
-        frame = self._open.get(index)
-        if not frame:
-            return None
-        value = 0.0
-        for tag in sorted(frame, key=self._appearance.__getitem__):
-            squares = frame[tag]
-            total = 0.0
-            for sq in squares:
-                total += sq
-            value += math.sqrt(total / len(squares))
-        return value
-
     def provisional_segment(self) -> Optional[Tuple[float, float, float]]:
         """Best current guess of the segment still forming: ``(t0, t1, peak)``.
 
@@ -483,7 +567,8 @@ class StreamSegmenter:
         if lo is None:
             return None
         if self._run is not None:
-            chunk = self._rms[lo - self._base : self._closed_frames - self._base]
+            closed = self._reads.closed
+            chunk = self._rms[lo - self._base : closed - self._base]
             arr = np.array(chunk) if chunk else np.array([])
             if arr.size >= 4:
                 gate = max(
@@ -493,13 +578,13 @@ class StreamSegmenter:
             else:
                 gate = 1e-12
             j = hi
-            while j < self._closed_frames and self._rms[j - self._base] >= gate:
+            while j < closed and self._rms[j - self._base] >= gate:
                 j += 1
             hi = j
-            if j == self._closed_frames:
-                partial = self._partial_frame_rms(self._closed_frames)
+            if j == closed:
+                partial = self._reads.peek(closed)
                 if partial is not None and partial >= gate:
-                    hi = self._closed_frames + 1
+                    hi = closed + 1
         peak = 0.0
         s_lo = lo - self._base
         s_hi = min(hi, self._next_window) - self._base
@@ -536,9 +621,13 @@ class StreamSegmenter:
             self._t_start = float(ts[0])
         self._t_max = float(ts[-1])
 
-        self._accumulate(ts, np.asarray(tag_indices), np.asarray(phases, dtype=float))
+        self._reads.add(
+            _frame_index(ts, self._t_start, self.config.frame_s),
+            tag_indices,
+            np.asarray(phases, dtype=float),
+        )
         self._close_completable_frames()
-        self._advance_windows(upto=self._closed_frames - self.config.window_frames)
+        self._advance_windows(upto=self._reads.closed - self.config.window_frames)
         return self._drain(final=False)
 
     def finalize(self) -> List[SegmentedWindow]:
@@ -551,46 +640,13 @@ class StreamSegmenter:
         frame_s = self.config.frame_s
         n_frames = max(1, int(math.ceil((self._t_max - self._t_start) / frame_s)))
         # End-of-log clamp: reads exactly on the final frame boundary fold
-        # into the last frame (they are the latest reads, so appending
-        # keeps the per-(frame, tag) accumulation order sequential).
-        overflow = self._open.pop(n_frames, None)
-        if overflow is not None:
-            target = self._open.setdefault(n_frames - 1, {})
-            for tag, squares in overflow.items():
-                target.setdefault(tag, []).extend(squares)
-        while self._closed_frames < n_frames:
-            self._close_frame(self._closed_frames)
-        self._open.clear()
+        # into the last frame (they are the latest reads, so they stay last
+        # in their bins' addition order).
+        self._close_frames(n_frames, fold_last=True)
         self._advance_windows(upto=n_frames - 1, total_frames=n_frames)
         return self._drain(final=True)
 
     # -- internals: frames ---------------------------------------------
-
-    def _accumulate(self, ts: np.ndarray, tags: np.ndarray, phases: np.ndarray) -> None:
-        frame_s = self.config.frame_s
-        raw = ((ts - self._t_start) / frame_s).astype(int)
-        order = np.unique(tags, return_index=True)
-        for k in np.argsort(order[1], kind="stable"):
-            tag = int(order[0][k])
-            if tag not in self._appearance:
-                self._appearance[tag] = len(self._appearance)
-        cal_tags = self.calibration.tags
-        for tag in order[0].tolist():
-            tag = int(tag)
-            if tag not in cal_tags:
-                continue
-            mask = tags == tag
-            centre = self.calibration.central_phase(tag)
-            residuals = fold_to_pi_many(phases[mask] - centre)
-            squares = residuals * residuals
-            for f, sq in zip(raw[mask].tolist(), squares.tolist()):
-                frame = self._open.get(f)
-                if frame is None:
-                    frame = self._open[f] = {}
-                bucket = frame.get(tag)
-                if bucket is None:
-                    bucket = frame[tag] = []
-                bucket.append(sq)
 
     def _close_completable_frames(self) -> None:
         # Frame j can still change while a future read may land in it
@@ -599,22 +655,11 @@ class StreamSegmenter:
         # exactly on a frame boundary).
         q = (self._t_max - self._t_start) / self.config.frame_s
         k_max = int(q)
-        completable = k_max - 1 if q == float(k_max) else k_max
-        while self._closed_frames < completable:
-            self._close_frame(self._closed_frames)
+        self._close_frames(k_max - 1 if q == float(k_max) else k_max)
 
-    def _close_frame(self, index: int) -> None:
-        frame = self._open.pop(index, None)
-        value = 0.0
-        if frame:
-            for tag in sorted(frame, key=self._appearance.__getitem__):
-                squares = frame[tag]
-                total = 0.0
-                for sq in squares:
-                    total += sq
-                value += math.sqrt(total / len(squares))
-        self._rms.append(value)
-        self._closed_frames = index + 1
+    def _close_frames(self, upto: int, fold_last: bool = False) -> None:
+        if upto > self._reads.closed:
+            self._rms.extend(self._reads.close(upto, fold_last).tolist())
 
     # -- internals: windows and verdicts -------------------------------
 
@@ -654,7 +699,7 @@ class StreamSegmenter:
         half = self.config.window_frames // 2
         if total_frames is None:
             frontier = self._next_window - 1 + half if self._next_window > 0 else -1
-            frontier = min(frontier, self._closed_frames - 1)
+            frontier = min(frontier, self._reads.closed - 1)
         else:
             frontier = total_frames - 1
         while self._decided <= frontier:

@@ -36,12 +36,15 @@ for any chunk/worker layout.
 
 **Fault containment.**  Each chunk future is awaited with a per-trial
 timeout (``REPRO_TRIAL_TIMEOUT_S`` seconds per trial, default 120).  A
-worker crash (``BrokenProcessPool``) or hang (timeout) evicts the pool,
-cancels what has not started, and re-executes every lost trial serially
-on the parent runner — same seeds, so the recovered battery is
-bit-identical to an undisturbed run.  ``REPRO_PARALLEL_FAULT``
-(``crash:<trial>`` / ``hang:<trial>[:secs]``) injects such faults for
-the tests.
+worker crash (``BrokenProcessPool``) or hang (timeout) evicts the pool
+and cancels what has not started.  A crash also fails every chunk
+running beside the faulty one, so each lost chunk is retried alone on a
+fresh pool, and only a chunk that fails by itself is re-executed
+serially on the parent runner — same seeds, so the recovered battery is
+bit-identical to an undisturbed run, and ``parallel.trials_recovered``
+counts the faulty chunk's trials on any core count.
+``REPRO_PARALLEL_FAULT`` (``crash:<trial>`` / ``hang:<trial>[:secs]``)
+injects such faults for the tests.
 
 **Telemetry relay.**  When the parent's tracer or metrics registry is
 enabled at pool-build time, each worker enables its own registries and
@@ -371,7 +374,8 @@ def _run_pool(
     from .shm import unpack_logs
 
     tracer, metrics = get_tracer(), get_metrics()
-    pool = _get_pool(runner, (tracer.enabled, metrics.enabled))
+    flags = (tracer.enabled, metrics.enabled)
+    pool = _get_pool(runner, flags)
     chunks = _split_chunks(tasks, _chunk_count(workers, len(tasks)))
     timeout = _trial_timeout_s()
     futures = [pool.submit(chunk_fn, (chunk, collect_logs)) for chunk in chunks]
@@ -384,16 +388,27 @@ def _run_pool(
             slots[ci] = fut.result(timeout=timeout * len(chunks[ci]))
         except (Exception, CancelledError):
             # Crash (BrokenProcessPool), hang (TimeoutError), or a chunk
-            # cancelled by a previous eviction: drop the pool once, then
-            # re-execute every lost trial serially on the parent runner —
-            # same per-trial seeds, so the merged battery is unchanged.
+            # cancelled by a previous eviction: drop the pool once.
             lost.append(ci)
             if not evicted:
                 evicted = True
                 _discard_pool(pool)
 
+    # One crashing worker breaks the whole pool, so the chunks running
+    # beside it are lost too.  Retry each lost chunk alone on a fresh pool;
+    # only a chunk that fails by itself is re-executed serially on the
+    # parent runner — same per-trial seeds, so the merged battery is
+    # unchanged, and the recovered count does not depend on the core count.
     recovered = 0
     for ci in lost:
+        retry = _get_pool(runner, flags)
+        try:
+            slots[ci] = retry.submit(chunk_fn, (chunks[ci], collect_logs)).result(
+                timeout=timeout * len(chunks[ci])
+            )
+            continue
+        except (Exception, CancelledError):
+            _discard_pool(retry)
         slots[ci] = (
             [
                 (fallback_fn(runner, task, collect_logs), None)

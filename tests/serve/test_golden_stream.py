@@ -14,6 +14,8 @@ import pytest
 from repro.motion.script import script_for_letter
 from repro.serve import HubConfig, LocalFeed, SessionHub
 from repro.sim.live import iter_chunks
+from repro.sim.runner import SessionRunner
+from repro.sim.scenario import ScenarioConfig, build_scenario
 
 from tests.stream.test_equivalence import assert_letter_equal, random_chunks
 
@@ -30,11 +32,17 @@ LETTERS = ("T", "H", "L")
 
 
 @pytest.fixture(scope="module")
-def letter_logs(shared_runner):
+def runner():
+    # A fresh runner rather than the session-shared one: the shared
+    # runner's RNG has been advanced by whichever tests ran first, so logs
+    # drawn from it would depend on test order.
+    return SessionRunner(build_scenario(ScenarioConfig(seed=7)))
+
+
+@pytest.fixture(scope="module")
+def letter_logs(runner):
     return {
-        letter: shared_runner.run_script(
-            script_for_letter(letter, shared_runner.rng)
-        )
+        letter: runner.run_script(script_for_letter(letter, runner.rng))
         for letter in LETTERS
     }
 
@@ -79,8 +87,8 @@ def _final_windows_strokes_letter(events):
 
 
 class TestGoldenStream:
-    def test_interleaved_sessions_match_batch(self, shared_runner, letter_logs):
-        pad = shared_runner.pad
+    def test_interleaved_sessions_match_batch(self, runner, letter_logs):
+        pad = runner.pad
         logs = [letter_logs[letter] for letter in LETTERS]
         chunkings = [list(iter_chunks(log, 0.13)) for log in logs]
         all_events = _hub_events(pad, chunkings)
@@ -93,9 +101,9 @@ class TestGoldenStream:
 
     @pytest.mark.parametrize("trial", range(3))
     def test_random_chunkings_and_interleavings(
-        self, shared_runner, letter_logs, rng, trial
+        self, runner, letter_logs, rng, trial
     ):
-        pad = shared_runner.pad
+        pad = runner.pad
         # Random per-session chunkings, random interleave order via
         # different chunk counts per session, coalescing forced by a
         # 1-batch dispatcher serving 3 tenants.
@@ -112,11 +120,11 @@ class TestGoldenStream:
             assert_letter_equal(result, batch)
 
     def test_same_log_many_sessions_identical_streams(
-        self, shared_runner, letter_logs, rng
+        self, runner, letter_logs, rng
     ):
         # The same log under different chunkings, concurrently: every
         # session must converge to the same finalized stream.
-        pad = shared_runner.pad
+        pad = runner.pad
         log = letter_logs["T"]
         chunkings = [
             list(iter_chunks(log, 0.07)),

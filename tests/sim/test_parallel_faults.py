@@ -1,10 +1,11 @@
 """Worker fault containment: crash/hang recovery must be invisible.
 
 ``REPRO_PARALLEL_FAULT`` injects a worker crash or hang into the chunk
-holding a target trial; the parent must evict the pool, re-execute every
-lost trial serially with the *same* per-trial seeds, and deliver a
-battery bit-identical to an undisturbed run (plus a
-``parallel.trials_recovered`` counter).
+holding a target trial; the parent must evict the pool, retry each lost
+chunk alone, re-execute the faulty chunk serially with the *same*
+per-trial seeds, and deliver a battery bit-identical to an undisturbed
+run (plus a ``parallel.trials_recovered`` counter that counts the faulty
+chunk's trials only, on any core count).
 
 Faults are read from the environment inside the worker, and workers fork
 lazily on first submit — so each test uses its own scenario seed (its
@@ -76,15 +77,15 @@ class TestCrashRecovery:
 
 class TestHangRecovery:
     def test_hung_chunk_times_out_and_is_reexecuted(self, monkeypatch):
-        # Chunk 0 ([trial 0]) sleeps far past the 1 s/trial budget; the
-        # single pool process never reaches chunk 1, whose future is
-        # cancelled by the eviction — both chunks recover serially.
+        # Chunk 0 ([trial 0]) sleeps far past the 1 s/trial budget.  The
+        # eviction may also cancel or kill chunk 1; that chunk succeeds
+        # when retried alone, so only chunk 0 recovers serially.
         faulted, counters = _battery(
             37, monkeypatch, fault="hang:0:30", timeout_s="1.0"
         )
         clean, _ = _battery(37, monkeypatch, fault=None, timeout_s=None)
         assert _sig(faulted) == _sig(clean)
-        assert counters["parallel.trials_recovered"] >= 1.0
+        assert counters["parallel.trials_recovered"] == 1.0
         assert counters["runner.motion_trials"] == 2.0
 
 
