@@ -17,6 +17,10 @@ import numpy as np
 from ..physics.geometry import GridLayout
 from .imaging import BinaryMap, GreyMap
 
+#: Relative margin by which a later split's between-class variance must
+#: exceed the best so far to replace it (near-ties keep the earlier split).
+TIE_RTOL = 1e-9
+
 
 def otsu_threshold(values: Sequence[float], bins: int = 64) -> float:
     """Return the OTSU threshold of a value set.
@@ -58,7 +62,10 @@ def otsu_threshold(values: Sequence[float], bins: int = 64) -> float:
         mu0 = sum0 / w0
         mu1 = (total_mean - sum0) / w1
         between = w0 * w1 * (mu0 - mu1) ** 2
-        if between > best_between:
+        # A later split must beat the best by more than rounding: splits
+        # that tie exactly in real arithmetic differ in the last bits, and
+        # which one wins would otherwise flip under rescaling the values.
+        if between > best_between * (1.0 + TIE_RTOL):
             best_between = between
             best_threshold = edges[k + 1]
     return float(best_threshold)

@@ -45,6 +45,7 @@ from ..units import TWO_PI, db_to_linear
 from .antenna import ReaderAntenna
 from .channel import ChannelModel, Scatterer, shadow_attenuation_db
 from .geometry import Vec3
+from .hand import ARM_POINTS
 
 FOUR_PI = 4.0 * math.pi
 
@@ -217,9 +218,13 @@ class ChannelEngine:
         """Precompute the direct + nominal-reflector sum for a fixed loss.
 
         The result is valid as the ``base`` argument of :meth:`one_way_batch`
-        for any scene whose direct-path loss equals ``direct_extra_loss_db``
-        and whose reflection coefficients are nominal — i.e. the per-round
-        readability checks of a deployment whose only dynamics are the hand.
+        and :meth:`scene_powers` for any scene whose direct-path loss equals
+        ``direct_extra_loss_db`` and whose reflection coefficients are
+        nominal — i.e. the per-round readability checks of a deployment
+        whose only dynamics are the hand.  With the loss fixed for the
+        deployment's life it is cached once; an LOS reader recomputes it
+        per pose with the arm-occlusion loss added (the same operations
+        :meth:`one_way_batch` runs on a per-tag loss, so bit-identical).
         """
         g = self.a_direct_np * self._direct_loss_factor(direct_extra_loss_db) * self.exp_direct_np
         return g + self._nominal_reflector_sum
@@ -389,7 +394,9 @@ class ChannelEngine:
         the result is ``(T, N)`` powers.  All lanes share the deployment's
         precomputed static geometry and the same scatterer *template*
         (``offsets``/``rcs``/``shadow``), which is what makes one numpy
-        dispatch advance many trials.
+        dispatch advance many trials.  ``base`` is one ``(N,)`` base shared
+        by every lane, or a ``(T, N)`` stack of per-lane bases (LOS lanes,
+        each under its own arm occlusion).
 
         Bit-identity contract: every row equals the corresponding solo
         ``scene_powers(base, ..., hand_xyz[t], ...)`` result bit-for-bit,
@@ -643,23 +650,13 @@ class ChannelEngine:
             wl2 = wl**2
             fp3 = FOUR_PI**3
 
-            # Scatterer group: the hand plus arm sample points at fixed
-            # offsets — HandPose.arm_points computes position + u*k per
-            # component, so "position + precomputed u*k" is the same float.
-            direction = template.arm_direction.normalized()
-            n_arm = 3
-            arm_ks = [template.arm_length * (i + 1) / n_arm for i in range(n_arm)]
-            per_point_rcs = template.arm_rcs_m2 / n_arm
-            groups = [(hx, hy, hz, template.hand_rcs_m2)]
-            for k in arm_ks:
-                groups.append(
-                    (
-                        hx + direction.x * k,
-                        hy + direction.y * k,
-                        hz + direction.z * k,
-                        per_point_rcs,
-                    )
-                )
+            # Scatterer group: the hand plus its arm points, each
+            # position + a body_offsets row, as HandPose.arm_points places them.
+            per_point_rcs = template.arm_rcs_m2 / ARM_POINTS
+            groups = [(hx, hy, hz, template.hand_rcs_m2)] + [
+                (hx + ox, hy + oy, hz + oz, per_point_rcs)
+                for ox, oy, oz in template.body_offsets()[1:].tolist()
+            ]
 
             for sx, sy, sz, rcs in groups:
                 dx = ax - sx

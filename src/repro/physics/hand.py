@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +41,14 @@ HAND_SHADOW_DEPTH_DB = 12.0
 #: sharply local phase disturbance — see Scatterer.detune_rad.
 HAND_DETUNE_RAD = 2.4
 
+#: Forearm sample points per pose; with the hand, a pose has four body points.
+ARM_POINTS = 3
+
+#: Peak direct-path loss one body point causes sitting on a tag's line of
+#: sight to the antenna, and the clearance scale it decays over (Gaussian).
+OCCLUSION_DEPTH_DB = 8.0
+OCCLUSION_FRESNEL_RADIUS_M = 0.10
+
 
 @dataclass(frozen=True)
 class HandPose:
@@ -61,18 +69,29 @@ class HandPose:
     shadow_depth_db: float = HAND_SHADOW_DEPTH_DB
     detune_rad: float = HAND_DETUNE_RAD
 
-    def arm_points(self, n: int = 3) -> List[Vec3]:
+    def arm_points(self) -> List[Vec3]:
         """Sample points along the forearm (excluding the hand itself)."""
-        if n < 1:
-            return []
-        direction = self.arm_direction.normalized()
-        # Inlined position + direction * k (same per-component op order as
-        # the Vec3 operators): this runs once per channel evaluation.
         px, py, pz = self.position.x, self.position.y, self.position.z
+        return [
+            Vec3(px + ox, py + oy, pz + oz)
+            for ox, oy, oz in self.body_offsets()[1:].tolist()
+        ]
+
+    def body_offsets(self) -> np.ndarray:
+        """``(1 + ARM_POINTS, 3)`` displacements of the body points from the
+        hand: row 0 zeros (the hand itself), then ``u * k`` for evenly spaced
+        ``k`` along the unit arm direction ``u``.  Every arm point is
+        ``position + row``, one float add per component, in the scalar
+        (:meth:`arm_points`) and vectorized paths alike.  The position is
+        ignored.
+        """
+        direction = self.arm_direction.normalized()
         ux, uy, uz = direction.x, direction.y, direction.z
-        length = self.arm_length
-        ks = [length * (i + 1) / n for i in range(n)]
-        return [Vec3(px + ux * k, py + uy * k, pz + uz * k) for k in ks]
+        out = np.zeros((1 + ARM_POINTS, 3))
+        for row in range(1, ARM_POINTS + 1):
+            k = self.arm_length * row / ARM_POINTS
+            out[row] = (ux * k, uy * k, uz * k)
+        return out
 
     def scatterers(self, include_arm: bool = True) -> List[Scatterer]:
         """Channel scatterers for this pose.
@@ -148,8 +167,9 @@ class PoseTrack:
         return cls(times, present, xyz, templates, template_idx)
 
     def pose_at(self, i: int) -> "HandPose | None":
-        """Reconstruct row ``i`` as a scalar :class:`HandPose` (LOS occlusion
-        falls back to the scalar per-row evaluation)."""
+        """Reconstruct row ``i`` as a scalar :class:`HandPose`, for checks
+        against the scalar pose clock; the batched reader reads the columns
+        and templates directly, LOS occlusion included."""
         if not self.present[i]:
             return None
         tmpl = self.templates[int(self.template_idx[i])]
@@ -181,54 +201,128 @@ def occlusion_loss_db(
     antenna_position: Vec3,
     tag_position: Vec3,
     pose: "HandPose | None",
-    fresnel_radius: float = 0.10,
-    depth_db: float = 8.0,
 ) -> float:
     """Direct-path loss (dB) when the hand/arm cuts the reader-tag LOS.
 
-    Loss is maximal when a body point sits on the antenna->tag segment and
-    decays as a Gaussian of its clearance relative to ``fresnel_radius``.
-    Returns 0 for ``pose is None`` (no hand in the scene).
+    Loss is maximal (:data:`OCCLUSION_DEPTH_DB` per body point) when a body
+    point sits on the antenna->tag segment and decays as a Gaussian of its
+    clearance relative to :data:`OCCLUSION_FRESNEL_RADIUS_M`.  Returns 0 for
+    ``pose is None`` (no hand in the scene).  The scalar reference for the
+    two vectorized forms below.
     """
     if pose is None:
         return 0.0
     total = 0.0
     for body_point in [pose.position] + pose.arm_points():
         clearance = point_to_segment_distance(body_point, antenna_position, tag_position)
-        total += depth_db * math.exp(-0.5 * (clearance / fresnel_radius) ** 2)
-    return total
-
-
-def occlusion_loss_db_batch(
-    antenna_position: Vec3,
-    tag_positions: "np.ndarray",
-    pose: "HandPose | None",
-    fresnel_radius: float = 0.10,
-    depth_db: float = 8.0,
-) -> "np.ndarray":
-    """Vectorized :func:`occlusion_loss_db` over an ``(N, 3)`` tag array.
-
-    Matches the scalar function to floating-point noise (cross-checked in
-    ``tests/physics/test_channel_vec.py``); used by the reader's batched
-    readability evaluation.
-    """
-    n = tag_positions.shape[0]
-    if pose is None:
-        return np.zeros(n)
-    a = np.array(antenna_position.as_tuple())
-    ab = tag_positions - a                       # (N, 3) antenna -> tag
-    denom = np.einsum("ij,ij->i", ab, ab)        # |ab|^2 per tag
-    total = np.zeros(n)
-    for body_point in [pose.position] + pose.arm_points():
-        p = np.array(body_point.as_tuple())
-        t = np.divide(
-            (p - a) @ ab.T, denom, out=np.zeros(n), where=denom != 0.0
+        total += OCCLUSION_DEPTH_DB * math.exp(
+            -0.5 * (clearance / OCCLUSION_FRESNEL_RADIUS_M) ** 2
         )
-        t = np.clip(t, 0.0, 1.0)
-        closest = a + t[:, None] * ab
-        clearance = np.linalg.norm(p - closest, axis=1)
-        total += depth_db * np.exp(-0.5 * (clearance / fresnel_radius) ** 2)
     return total
+
+
+class SightLines(NamedTuple):
+    """The antenna->tag segments occlusion is measured against.
+
+    Static while a deployment stands, so a reader builds them once and
+    every readability check moves only the body points.
+    """
+
+    antenna: np.ndarray  # (3,) antenna position
+    ab: np.ndarray       # (N, 3) antenna -> tag vectors
+    ab_sq: np.ndarray    # (N,) |ab|^2
+
+    @classmethod
+    def between(cls, antenna_position: Vec3, tag_positions: np.ndarray) -> "SightLines":
+        a = np.array(antenna_position.as_tuple())
+        ab = tag_positions - a
+        return cls(a, ab, np.einsum("ij,ij->i", ab, ab))
+
+
+def occlusion_loss_db_batch(lines: SightLines, body_xyz: np.ndarray) -> np.ndarray:
+    """:func:`occlusion_loss_db` of every tag for one ``(S, 3)`` set of body
+    points (the hand and its arm points) — the readability tier.
+
+    All points run in one ``(S, N)`` pass except the projection onto the
+    segments, which stays one ``(p - a) @ ab.T`` product per point: a single
+    ``(S, 3) @ (3, N)`` matmul takes another BLAS kernel whose rounding
+    differs.  Matches the scalar function to floating-point noise (not
+    bit-for-bit: numpy's ``exp`` and norm are not libm's).  No body points
+    (no hand) means no loss.
+    """
+    a, ab, ab_sq = lines
+    proj = np.empty((body_xyz.shape[0], ab.shape[0]))
+    for row, p in enumerate(body_xyz):
+        proj[row] = (p - a) @ ab.T
+    t = np.divide(proj, ab_sq, out=np.zeros_like(proj), where=ab_sq != 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    closest = a + t[:, :, None] * ab
+    clearance = np.linalg.norm(body_xyz[:, None, :] - closest, axis=2)
+    loss = OCCLUSION_DEPTH_DB * np.exp(
+        -0.5 * (clearance / OCCLUSION_FRESNEL_RADIUS_M) ** 2
+    )
+    # A reduction over the outer axis adds the points' rows in order, as a
+    # running ``total += loss`` would (pairwise summation applies only
+    # along the contiguous axis).
+    return loss.sum(axis=0)
+
+
+def occlusion_loss_db_rows(
+    antenna_position: Vec3,
+    tag_xyz: np.ndarray,
+    hand_xyz: np.ndarray,
+    template: HandPose,
+) -> np.ndarray:
+    """Per-read :func:`occlusion_loss_db`, bit-identical row by row.
+
+    Row ``i`` is the loss on the antenna -> ``tag_xyz[i]`` segment with the
+    hand at ``hand_xyz[i]`` in ``template``'s arm geometry (its position is
+    ignored).  The ``Vec3`` arithmetic runs elementwise in the scalar
+    operator order — subtract, dot as ``x*x + y*y + z*z``, clamp, sqrt —
+    and the libm terms (``** 2``, ``exp``) stay in a flat float loop, as in
+    ``ChannelEngine.backscatter_rows``.
+    """
+    ax, ay, az = antenna_position.x, antenna_position.y, antenna_position.z
+    abx = tag_xyz[:, 0] - ax
+    aby = tag_xyz[:, 1] - ay
+    abz = tag_xyz[:, 2] - az
+    denom = abx * abx + aby * aby + abz * abz
+    degenerate = denom == 0.0
+    any_degenerate = bool(degenerate.any())
+    if any_degenerate:
+        denom = np.where(degenerate, 1.0, denom)
+    hx, hy, hz = hand_xyz[:, 0], hand_xyz[:, 1], hand_xyz[:, 2]
+    # The hand itself, then position + u*k per arm point (as arm_points).
+    points = [(hx, hy, hz)] + [
+        (hx + ox, hy + oy, hz + oz) for ox, oy, oz in template.body_offsets()[1:].tolist()
+    ]
+    clearances = []
+    for px, py, pz in points:
+        pax = px - ax
+        pay = py - ay
+        paz = pz - az
+        t = (pax * abx + pay * aby + paz * abz) / denom
+        t = np.where(t < 1.0, t, 1.0)  # min(1.0, t)
+        t = np.where(t > 0.0, t, 0.0)  # max(0.0, ...)
+        dx = px - (ax + abx * t)
+        dy = py - (ay + aby * t)
+        dz = pz - (az + abz * t)
+        clearance = np.sqrt(dx * dx + dy * dy + dz * dz)
+        if any_degenerate:
+            # A zero-length segment: the distance to the antenna itself.
+            clearance = np.where(
+                degenerate, np.sqrt(pax * pax + pay * pay + paz * paz), clearance
+            )
+        clearances.append(clearance.tolist())
+    out = []
+    for row in zip(*clearances):
+        total = 0.0
+        for clearance in row:
+            total += OCCLUSION_DEPTH_DB * math.exp(
+                -0.5 * (clearance / OCCLUSION_FRESNEL_RADIUS_M) ** 2
+            )
+        out.append(total)
+    return np.array(out)
 
 
 def hand_height_profile(speed: float) -> float:

@@ -26,7 +26,14 @@ from ..obs.trace import get_tracer
 from ..physics.antenna import ReaderAntenna
 from ..physics.channel import ChannelModel, Scatterer, detuning_phase_rad
 from ..physics.channel_vec import ChannelEngine
-from ..physics.hand import HandPose, PoseTrack, occlusion_loss_db, occlusion_loss_db_batch
+from ..physics.hand import (
+    HandPose,
+    PoseTrack,
+    SightLines,
+    occlusion_loss_db,
+    occlusion_loss_db_batch,
+    occlusion_loss_db_rows,
+)
 from ..physics.multipath import Environment, free_space
 from ..physics.noise import ReceiverNoise, doppler_estimate_hz
 from ..units import (
@@ -173,11 +180,14 @@ class Reader:
         # Direct + nominal-reflector terms under the static per-tag losses:
         # constant for every readability check that adds no occlusion, so
         # the per-round batch touches only the scatterer/shadow terms.
-        self._static_base: Optional[np.ndarray] = (
-            self._engine.static_base(self._static_loss_db)
-            if self._engine is not None
-            else None
-        )
+        self._static_base: Optional[np.ndarray] = None
+        # LOS arm occlusion is measured against fixed antenna->tag segments.
+        self._sight_lines: Optional[SightLines] = None
+        if self._engine is not None:
+            self._static_base = self._engine.static_base(self._static_loss_db)
+            self._sight_lines = SightLines.between(
+                antenna.position, self._engine.tag_positions_np
+            )
         self._one_way_loss = math.sqrt(db_to_linear(-config.system_loss_db))
         self._last_read: Dict[int, Tuple[float, float]] = {}  # tag -> (t, phase)
         # Per-template readability arrays (arm offsets, RCS column, shadow
@@ -247,14 +257,7 @@ class Reader:
         )
         entry = self._pose_cache.get(key)
         if entry is None:
-            direction = pose.arm_direction.normalized()
-            ux, uy, uz = direction.x, direction.y, direction.z
-            ks = [pose.arm_length * (i + 1) / 3 for i in range(3)]
-            offsets = np.zeros((4, 3))
-            for row, k in enumerate(ks, start=1):
-                offsets[row, 0] = ux * k
-                offsets[row, 1] = uy * k
-                offsets[row, 2] = uz * k
+            offsets = pose.body_offsets()
             per_point = pose.arm_rcs_m2 / 3
             rcs = np.array([pose.hand_rcs_m2, per_point, per_point, per_point])
             hand_sc = pose.scatterers(include_arm=False)[0]
@@ -267,37 +270,50 @@ class Reader:
             self._pose_cache[key] = entry
         return entry
 
+    def _pose_base(
+        self, hand_xyz: Tuple[float, float, float], offsets: np.ndarray
+    ) -> np.ndarray:
+        """The direct + nominal-reflector base for one hand pose.
+
+        NLOS: the cached static base.  LOS: the static base recomputed under
+        the pose's arm occlusion, bit for bit what ``one_way_batch`` builds
+        for the same per-tag losses.  The body points are ``hand + offsets``
+        with row 0 assigned, as :meth:`ChannelEngine.scene_powers` places
+        them.
+        """
+        if not self.config.los_occlusion:
+            return self._static_base
+        body = np.array(hand_xyz) + offsets
+        body[0] = hand_xyz
+        occlusion = occlusion_loss_db_batch(self._sight_lines, body)
+        return self._engine.static_base(self._static_loss_db + occlusion)
+
     def _readable_arr(
         self, pose: Optional[HandPose], sens_w: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Engine-tier :meth:`readable_indices`, as an int64 index array.
 
-        The non-LOS hand case — every round of every writing trial — runs
-        through :meth:`ChannelEngine.scene_powers` with cached template
-        arrays; LOS occlusion keeps the general ``one_way_batch`` route
-        (its per-tag direct losses depend on the pose).  ``sens_w`` lets a
-        collect window pass the sensitivity vector it resolved once up
-        front — nothing can mutate tag sensitivities *inside* a window
-        (the simulator is single-threaded), only between collects.
+        Every hand pose — both mounts — runs through
+        :meth:`ChannelEngine.scene_powers` with cached template arrays; an
+        LOS pose passes its occluded direct-path base (:meth:`_pose_base`).
+        ``sens_w`` lets a collect window pass the sensitivity vector it
+        resolved once up front — nothing can mutate tag sensitivities
+        *inside* a window (the simulator is single-threaded), only between
+        collects.
         """
         if pose is None and self._static_powers is not None:
             powers = self._static_powers
         else:
             with get_tracer().span("channel.batch", tags=len(self.array.tags)):
-                if self.config.los_occlusion and pose is not None:
-                    loss_db = self._static_loss_db + occlusion_loss_db_batch(
-                        self.antenna.position, self._engine.tag_positions_np, pose
-                    )
-                    g = self._engine.one_way_batch(self._scatterers(pose), loss_db)
-                    powers = self.config.tx_power_w * np.abs(g * self._one_way_loss) ** 2
-                elif pose is not None:
+                if pose is not None:
                     offsets, rcs, shadow = self._pose_fast_arrays(pose)
                     p = pose.position
+                    hand = (p.x, p.y, p.z)
                     powers = self._engine.scene_powers(
-                        self._static_base,
+                        self._pose_base(hand, offsets),
                         self.config.tx_power_w,
                         self._one_way_loss,
-                        (p.x, p.y, p.z),
+                        hand,
                         offsets,
                         rcs,
                         shadow,
@@ -566,22 +582,6 @@ class Reader:
         amp_rows = np.array(amp_by_tag)[winners]
         sqrt_te_rows = np.array(sqrt_te)[winners]
 
-        # LOS deployments add a per-read arm-occlusion loss on the direct
-        # path; it depends on the pose, so those rows recompute the scalar
-        # amplitude expression read by read.
-        if config.los_occlusion:
-            ant_pos = self.antenna.position
-            for i in np.nonzero(track.present)[0].tolist():
-                w = int(winners[i])
-                tag = tags[w]
-                extra = occlusion_loss_db(ant_pos, tag.position, track.pose_at(i))
-                loss_db = occl_db + (tag.static_shadow_db + extra)
-                amp_rows[i] = (
-                    a_direct[w] * math.sqrt(db_to_linear(-loss_db))
-                    if loss_db > 0.0
-                    else a_direct[w]
-                )
-
         # Reflector flutter for all rows at once, from the same draws the
         # scalar path would have consumed per read.
         g_re, g_im = self.environment.sample_gammas_rows(z[:, :nz_f])
@@ -599,9 +599,12 @@ class Reader:
             if rows.size:
                 groups.append((rows, track.xyz[rows], tmpl))
         for rows, hand_xyz, tmpl in groups:
+            amp = amp_rows[rows]
+            if tmpl is not None and config.los_occlusion:
+                amp = self._occluded_amp(winners[rows], hand_xyz, tmpl)
             sr, si, dt = engine.backscatter_rows(
                 winners[rows],
-                amp_rows[rows],
+                amp,
                 sqrt_te_rows[rows],
                 g_re[rows],
                 g_im[rows],
@@ -657,6 +660,28 @@ class Reader:
             antenna_port=config.antenna_port,
         )
 
+    def _occluded_amp(
+        self, winners: np.ndarray, hand_xyz: np.ndarray, template: HandPose
+    ) -> np.ndarray:
+        """Direct amplitudes of LOS reads under their per-read arm occlusion.
+
+        The loss and amplitude expressions are ``observe_tag``'s, row by
+        row: :func:`occlusion_loss_db_rows` is exact per row, the adds and
+        the product are exact elementwise, and the libm ``db_to_linear``
+        stays in a flat float loop.
+        """
+        engine = self._engine
+        extra = occlusion_loss_db_rows(
+            self.antenna.position, engine.tag_positions_np[winners], hand_xyz, template
+        )
+        static_db = np.array([tag.static_shadow_db for tag in self.array.tags])
+        loss_db = engine.occlusion_db + (static_db[winners] + extra)
+        factor = [
+            math.sqrt(db_to_linear(-loss)) if loss > 0.0 else 1.0
+            for loss in loss_db.tolist()
+        ]
+        return engine.a_direct_np[winners] * np.array(factor)
+
     def _record_metrics(self, stats, out: ReportLog, n_before: int) -> None:
         """Fold one collect() window into the global metrics registry.
 
@@ -709,7 +734,9 @@ class Reader:
         resolution runs once over the trial axis
         (:class:`TrialAxisInventory`) — this is where the parallel battery
         gets its throughput, since the per-lane numpy dispatch overhead is
-        amortised over all concurrent trials.
+        amortised over all concurrent trials.  Both mounts group alike:
+        NLOS lanes share the static base, LOS lanes pass their per-pose
+        occluded bases (:meth:`_pose_base`) as a ``(T, N)`` stack.
 
         The per-lane RNG stream order is exactly the solo order: the
         round's ``integers`` draw, then one ``standard_normal(k * nz)``
@@ -755,60 +782,58 @@ class Reader:
                     break
                 rounds += 1
                 readables: List[Optional[np.ndarray]] = [None] * len(active)
-                if los:
-                    # LOS occlusion keeps the general per-lane readability
-                    # route (per-tag direct losses depend on the pose).
-                    for k, i in enumerate(active):
-                        lane = lanes[i]
-                        readables[k] = self._readable_arr(
-                            lane.pose_at(lane.inv.clock), sens_w
-                        )
-                else:
-                    # Group pose-present lanes by their cached template so
-                    # one trial-axis channel evaluation covers each group.
-                    groups: Dict[int, Tuple[tuple, List[int], List[Tuple[float, float, float]]]] = {}
-                    for k, i in enumerate(active):
-                        lane = lanes[i]
-                        pose = lane.pose_at(lane.inv.clock)
-                        if pose is None:
-                            readables[k] = self._readable_arr(None, sens_w)
-                            continue
-                        entry = self._pose_fast_arrays(pose)
-                        group = groups.get(id(entry))
-                        if group is None:
-                            group = groups[id(entry)] = (entry, [], [])
-                        group[1].append(k)
-                        p = pose.position
-                        group[2].append((p.x, p.y, p.z))
-                    for entry, members, xyzs in groups.values():
-                        offsets, rcs, shadow = entry
-                        if len(members) == 1:
-                            with tracer.span("channel.batch", tags=n_tags):
-                                powers = self._engine.scene_powers(
-                                    self._static_base,
-                                    self.config.tx_power_w,
-                                    self._one_way_loss,
-                                    xyzs[0],
-                                    offsets,
-                                    rcs,
-                                    shadow,
-                                )
-                            readables[members[0]] = np.nonzero(powers >= sens_w)[0]
-                        else:
-                            with tracer.span(
-                                "channel.batch", tags=n_tags, lanes=len(members)
-                            ):
-                                powers = self._engine.scene_powers_trials(
-                                    self._static_base,
-                                    self.config.tx_power_w,
-                                    self._one_way_loss,
-                                    np.array(xyzs),
-                                    offsets,
-                                    rcs,
-                                    shadow,
-                                )
-                            for row, k in enumerate(members):
-                                readables[k] = np.nonzero(powers[row] >= sens_w)[0]
+                # Group pose-present lanes by their cached template so one
+                # trial-axis channel evaluation covers each group.
+                groups: Dict[int, Tuple[tuple, List[int], List[Tuple[float, float, float]]]] = {}
+                for k, i in enumerate(active):
+                    lane = lanes[i]
+                    pose = lane.pose_at(lane.inv.clock)
+                    if pose is None:
+                        readables[k] = self._readable_arr(None, sens_w)
+                        continue
+                    entry = self._pose_fast_arrays(pose)
+                    group = groups.get(id(entry))
+                    if group is None:
+                        group = groups[id(entry)] = (entry, [], [])
+                    group[1].append(k)
+                    p = pose.position
+                    group[2].append((p.x, p.y, p.z))
+                for entry, members, xyzs in groups.values():
+                    offsets, rcs, shadow = entry
+                    if len(members) == 1:
+                        with tracer.span("channel.batch", tags=n_tags):
+                            powers = self._engine.scene_powers(
+                                self._pose_base(xyzs[0], offsets),
+                                self.config.tx_power_w,
+                                self._one_way_loss,
+                                xyzs[0],
+                                offsets,
+                                rcs,
+                                shadow,
+                            )
+                        readables[members[0]] = np.nonzero(powers >= sens_w)[0]
+                    else:
+                        with tracer.span(
+                            "channel.batch", tags=n_tags, lanes=len(members)
+                        ):
+                            # LOS lanes stack their occluded bases; NLOS
+                            # lanes share the static one.
+                            base = (
+                                np.stack([self._pose_base(xyz, offsets) for xyz in xyzs])
+                                if los
+                                else self._static_base
+                            )
+                            powers = self._engine.scene_powers_trials(
+                                base,
+                                self.config.tx_power_w,
+                                self._one_way_loss,
+                                np.array(xyzs),
+                                offsets,
+                                rcs,
+                                shadow,
+                            )
+                        for row, k in enumerate(members):
+                            readables[k] = np.nonzero(powers[row] >= sens_w)[0]
                 results = axis.step(active, readables)
                 for k, i in enumerate(active):
                     rr = results[k]

@@ -23,7 +23,13 @@ from repro.physics.antenna import ReaderAntenna
 from repro.physics.channel import ChannelModel, Scatterer
 from repro.physics.channel_vec import ChannelEngine
 from repro.physics.geometry import Vec3
-from repro.physics.hand import HandPose, occlusion_loss_db, occlusion_loss_db_batch
+from repro.physics.hand import (
+    HandPose,
+    SightLines,
+    occlusion_loss_db,
+    occlusion_loss_db_batch,
+    occlusion_loss_db_rows,
+)
 
 WAVELENGTH = 0.327  # ~915 MHz
 
@@ -168,23 +174,136 @@ class TestSinglePathBitIdentity:
             assert engine.one_way_single(i, scs) == model.one_way(pos, gt, scs)
 
 
+def _per_point_occlusion(antenna_position, tag_positions, pose):
+    """The readability-tier occlusion one body point at a time: the
+    bit-for-bit oracle for the ``(S, N)`` kernel."""
+    n = tag_positions.shape[0]
+    a = np.array(antenna_position.as_tuple())
+    ab = tag_positions - a
+    denom = np.einsum("ij,ij->i", ab, ab)
+    total = np.zeros(n)
+    for body_point in [pose.position] + pose.arm_points():
+        p = np.array(body_point.as_tuple())
+        t = np.divide((p - a) @ ab.T, denom, out=np.zeros(n), where=denom != 0.0)
+        t = np.clip(t, 0.0, 1.0)
+        closest = a + t[:, None] * ab
+        clearance = np.linalg.norm(p - closest, axis=1)
+        total += 8.0 * np.exp(-0.5 * (clearance / 0.10) ** 2)
+    return total
+
+
+def _body_xyz(pose):
+    """Hand + arm points as the reader places them (hand + offsets, row 0
+    assigned)."""
+    p = pose.position.as_tuple()
+    body = np.array(p) + pose.body_offsets()
+    body[0] = p
+    return body
+
+
+def _random_template(rng):
+    return HandPose(
+        position=Vec3(0.0, 0.0, 0.0),
+        arm_direction=Vec3(*(rng.normal(0.0, 0.5, 3) + np.array([0.0, -0.45, 1.0])).tolist()),
+        arm_length=float(rng.uniform(0.1, 0.5)),
+    )
+
+
+def _with_position(template, xyz):
+    return HandPose(
+        position=Vec3(*xyz),
+        arm_direction=template.arm_direction,
+        arm_length=template.arm_length,
+    )
+
+
+def _segment_t(p, a, b):
+    """point_to_segment_distance's unclamped projection (None: zero length)."""
+    ab = b - a
+    denom = ab.dot(ab)
+    return None if denom == 0.0 else (p - a).dot(ab) / denom
+
+
 class TestOcclusionBatch:
     def test_occlusion_batch_matches_scalar(self):
         rng = np.random.default_rng(21)
         antenna_pos = Vec3(0.0, 0.0, 0.9)
         tags = rng.uniform(-0.2, 0.2, (25, 3))
+        lines = SightLines.between(antenna_pos, tags)
         for _ in range(10):
             pose = HandPose(position=Vec3(*rng.uniform(-0.2, 0.2, 3)))
-            batch = occlusion_loss_db_batch(antenna_pos, tags, pose)
+            batch = occlusion_loss_db_batch(lines, _body_xyz(pose))
             for i in range(tags.shape[0]):
                 scalar = occlusion_loss_db(antenna_pos, Vec3(*tags[i]), pose)
                 assert batch[i] == pytest.approx(scalar, rel=1e-9, abs=1e-12)
 
     def test_occlusion_none_pose_is_zero(self):
+        # No hand in the scene: no body points, no loss.
         tags = np.zeros((4, 3))
+        lines = SightLines.between(Vec3(0, 0, 1), tags)
         assert np.array_equal(
-            occlusion_loss_db_batch(Vec3(0, 0, 1), tags, None), np.zeros(4)
+            occlusion_loss_db_batch(lines, np.zeros((0, 3))), np.zeros(4)
         )
+
+    def test_body_points_are_the_arm_points(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            pose = _with_position(_random_template(rng), rng.uniform(-0.3, 0.3, 3).tolist())
+            body = _body_xyz(pose)
+            assert [Vec3(*row) for row in body.tolist()] == [pose.position] + pose.arm_points()
+
+    def test_batch_bit_identical_to_per_point_loop(self):
+        rng = np.random.default_rng(33)
+        for case in range(60):
+            antenna = Vec3(*rng.uniform(-0.4, 0.4, 2).tolist(), float(rng.uniform(0.4, 1.2)))
+            tags = rng.uniform(-0.25, 0.25, (int(rng.integers(1, 40)), 3))
+            if case % 3 == 0:
+                tags[0] = antenna.as_tuple()  # zero-length segment
+            lines = SightLines.between(antenna, tags)
+            template = _random_template(rng)
+            for xyz in rng.uniform([-0.4, -0.4, -0.3], [0.4, 0.4, 1.4], (8, 3)).tolist():
+                pose = _with_position(template, xyz)
+                got = occlusion_loss_db_batch(lines, _body_xyz(pose))
+                want = _per_point_occlusion(antenna, tags, pose)
+                assert got.tobytes() == want.tobytes()
+
+
+class TestOcclusionRows:
+    def test_rows_bit_identical_to_scalar(self):
+        rng = np.random.default_rng(57)
+        clamped_low = clamped_high = degenerate = 0
+        for case in range(12):
+            antenna = Vec3(*rng.uniform(-0.3, 0.3, 2).tolist(), float(rng.uniform(0.5, 1.2)))
+            m = 150
+            tag_xyz = rng.uniform(-0.2, 0.2, (m, 3))
+            tag_xyz[:5] = antenna.as_tuple()  # tags at the antenna: |ab|^2 == 0
+            # Body points above the antenna or below the pad clamp t at 0 / 1.
+            hand_xyz = rng.uniform([-0.4, -0.4, -0.6], [0.4, 0.4, 1.6], (m, 3))
+            template = _random_template(rng)
+            rows = occlusion_loss_db_rows(antenna, tag_xyz, hand_xyz, template)
+            assert rows.shape == (m,)
+            for i in range(m):
+                tag = Vec3(*tag_xyz[i].tolist())
+                pose = _with_position(template, hand_xyz[i].tolist())
+                assert rows[i] == occlusion_loss_db(antenna, tag, pose)
+                for point in [pose.position] + pose.arm_points():
+                    t = _segment_t(point, antenna, tag)
+                    degenerate += t is None
+                    clamped_low += t is not None and t < 0.0
+                    clamped_high += t is not None and t > 1.0
+        assert clamped_low and clamped_high and degenerate
+
+    def test_rows_on_the_line_of_sight(self):
+        # Hand sitting on the segment: the scalar's large-loss branch.
+        antenna = Vec3(0.0, 0.3, 1.1)
+        tag_xyz = np.array([[0.0, 0.0, 0.0], [0.06, -0.06, 0.0]])
+        template = HandPose(Vec3(0.0, 0.0, 0.0))
+        hand_xyz = np.array([antenna.lerp(Vec3(*t), 0.8).as_tuple() for t in tag_xyz.tolist()])
+        rows = occlusion_loss_db_rows(antenna, tag_xyz, hand_xyz, template)
+        for i in range(2):
+            pose = _with_position(template, hand_xyz[i].tolist())
+            assert rows[i] == occlusion_loss_db(antenna, Vec3(*tag_xyz[i].tolist()), pose)
+            assert rows[i] > 5.0
 
 
 class TestEngineCounters:
@@ -204,6 +323,36 @@ class TestEngineCounters:
             "single_calls": 0,
             "tags_evaluated": 0,
         }
+
+
+class TestScenePowers:
+    def test_bitwise_equals_one_way_batch_under_per_tag_loss(self):
+        # The reader's LOS readability: scene_powers over the base built
+        # for a per-tag loss must equal the general one_way_batch route.
+        rng = np.random.default_rng(408)
+        for _ in range(40):
+            antenna, tag_positions, tag_gains, images, _, _ = random_case(rng)
+            _, engine = build_pair(antenna, tag_positions, tag_gains, images)
+            loss = rng.uniform(0.0, 20.0, len(tag_positions))
+            pose = _with_position(
+                _random_template(rng), rng.uniform(-0.25, 0.25, 3).tolist()
+            )
+            hand_sc = pose.scatterers(include_arm=False)[0]
+            per_point = pose.arm_rcs_m2 / 3
+            p = pose.position
+            got = engine.scene_powers(
+                engine.static_base(loss), 1.3, 0.56, (p.x, p.y, p.z),
+                pose.body_offsets(),
+                np.array([pose.hand_rcs_m2, per_point, per_point, per_point]),
+                (
+                    hand_sc.shadow_depth_db,
+                    hand_sc.shadow_lateral_scale,
+                    hand_sc.shadow_vertical_scale,
+                ),
+            )
+            g = engine.one_way_batch(pose.scatterers(), loss)
+            want = 1.3 * np.abs(g * 0.56) ** 2
+            assert got.tobytes() == want.tobytes()
 
 
 class TestScenePowersTrials:
@@ -235,6 +384,30 @@ class TestScenePowersTrials:
                     offsets=offsets, rcs=rcs, shadow=shadow,
                 )
                 assert np.array_equal(batched[t], solo)
+
+    def test_stacked_bases_rows_match_solo(self):
+        # LOS lanes each carry their own occluded base: a (T, N) stack.
+        rng = np.random.default_rng(407)
+        for _ in range(40):
+            antenna, tag_positions, tag_gains, images, _, _ = random_case(rng)
+            _, engine = build_pair(antenna, tag_positions, tag_gains, images)
+            n_lanes = int(rng.integers(2, 9))
+            bases = [
+                engine.static_base(rng.uniform(0.0, 20.0, len(tag_positions)))
+                for _ in range(n_lanes)
+            ]
+            offsets, rcs, shadow = self._template(rng)
+            hand_xyz = rng.uniform(-0.25, 0.25, (n_lanes, 3))
+            batched = engine.scene_powers_trials(
+                np.stack(bases), 1.0, 0.92, hand_xyz, offsets, rcs, shadow
+            )
+            for t in range(n_lanes):
+                solo = engine.scene_powers(
+                    bases[t], 1.0, 0.92,
+                    hand_xyz=tuple(hand_xyz[t].tolist()),
+                    offsets=offsets, rcs=rcs, shadow=shadow,
+                )
+                assert batched[t].tobytes() == solo.tobytes()
 
     def test_degenerate_hop_rows_match_solo(self):
         # A lane whose hand sits exactly on the antenna exercises the

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -29,6 +29,7 @@ def test_shift_equivariance(values):
 
 
 @given(value_sets, st.floats(min_value=0.1, max_value=10.0))
+@example(values=np.array([66.0, 0.0, 0.0, 74.0, 35.0]), scale=3.0)
 def test_scale_equivariance(values, scale):
     thr = otsu_threshold(values)
     scaled = otsu_threshold(values * scale)

@@ -15,7 +15,12 @@ Two bit-identity contracts guard the engine refactor:
 from __future__ import annotations
 
 import math
+from typing import Optional
 
+import numpy as np
+import pytest
+
+from repro.motion.script import script_for_letter
 from repro.physics.geometry import Vec3
 from repro.physics.hand import HandPose
 from repro.rfid.reports import ReportLog
@@ -75,3 +80,51 @@ class TestEngineTransparency:
         log_e = sc_e.make_reader(use_engine=True).collect_static(1.0)
         log_s = sc_s.make_reader(use_engine=False).collect_static(1.0)
         assert _as_tuples(log_e) == _as_tuples(log_s)
+
+
+def _letter_log(seed: int, location: int, letter: str, use_engine: bool) -> ReportLog:
+    """One LOS letter session driven by a real WritingScript: the engine
+    reader resolves its poses through ``pose_at_many``, the scalar reader
+    calls ``hand_pose_at`` per slot."""
+    scenario = build_scenario(ScenarioConfig(seed=seed, mount="los", location=location))
+    reader = scenario.make_reader(use_engine=use_engine)
+    script = script_for_letter(letter, np.random.default_rng(1000 + seed))
+    return reader.collect(script.duration, script.hand_pose_at)
+
+
+#: Two arm geometries (the default, and a lower, sideways forearm).
+_TILTED_ARM = dict(arm_direction=Vec3(0.35, -0.7, 0.6), arm_length=0.22)
+
+
+def _switching_pose(t: float) -> Optional[HandPose]:
+    """Absent, then the default arm template, then another one: a plain
+    callable (no ``pose_at_many``) whose window holds two templates."""
+    if t < 0.2:
+        return None
+    position = _writing_pose(t).position
+    if t < 0.7:
+        return HandPose(position=position)
+    return HandPose(position=position, **_TILTED_ARM)
+
+
+class TestLosEngineTransparency:
+    @pytest.mark.parametrize("location", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_letter_script_engine_vs_scalar(self, seed, location):
+        letter = "TLHE"[location - 1]
+        engine = _as_tuples(_letter_log(seed, location, letter, use_engine=True))
+        scalar = _as_tuples(_letter_log(seed, location, letter, use_engine=False))
+        assert len(engine) > 0
+        assert engine == scalar
+
+    def test_template_switch_mid_window_engine_vs_scalar(self):
+        logs = []
+        for use_engine in (True, False):
+            scenario = build_scenario(ScenarioConfig(seed=13, mount="los", location=3))
+            reader = scenario.make_reader(use_engine=use_engine)
+            logs.append(_as_tuples(reader.collect(1.2, _switching_pose)))
+        engine, scalar = logs
+        times = [row[2] for row in engine]
+        # Reads land in all three phases of the window.
+        assert min(times) < 0.2 and any(0.2 <= t < 0.7 for t in times) and max(times) >= 0.7
+        assert engine == scalar
