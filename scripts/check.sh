@@ -17,6 +17,12 @@ echo "== benchmark self-tests (every perfbench workload at tiny size) =="
 # StreamSegmenter.ingest) fails here instead of in the next benchmark run.
 python3 -m pytest perfbench -q
 
+echo "== paper shape checks (figures, tables, ablations, extensions) =="
+# The reproduction's own checks in benchmarks/ (test_fig*, test_tab1_*,
+# test_abl_*, test_ext_*) sit outside testpaths; the hot-path bench runs
+# in its own step below.
+python -m pytest benchmarks/ --ignore benchmarks/test_perf_hotpath.py --benchmark-disable -q
+
 echo "== repro stats --fast (observability smoke test) =="
 python -m repro stats --fast > /tmp/repro-stats-smoke.$$ 2>&1 || {
     cat /tmp/repro-stats-smoke.$$

@@ -10,8 +10,10 @@ bit-identical between two checkouts.
 Per deployment it hashes the calibration log, the serial motion and letter
 batteries (one shared RNG stream, solo ``Reader.collect``) and
 ``run_motion_batch``/``run_letter_batch`` over per-trial streams (the
-trial-axis ``collect_batch`` path); then the per-tile logs of one letter
-collected by a 2x1 workspace (``Workspace.collect_tiles``) per mount.
+trial-axis ``collect_batch`` path); then, per mount, the per-tile logs
+(``Workspace.collect_tiles``) of one letter on a fresh 2x1 workspace, of a
+2x1 session (its calibration collect, then three consecutive letters, so
+RNG and Doppler state carry between collects) and of one 2x2 letter.
 Every column is hashed by value, the EPC strings included.  Takes under a
 minute on a 2-vCPU host.
 """
@@ -29,6 +31,10 @@ LOCATIONS = (1, 2, 3, 4)
 #: Every other letter: a spread of one- to four-stroke letters.
 LETTERS = "ACEGIKMOQSUWY"
 WORKSPACE_LETTER = "L"
+#: Letters collected one after another on the same workspace.
+SESSION_LETTERS = "TAK"
+#: ``WorkspaceRunner``'s calibration collect.
+CALIBRATION_S = 3.0
 
 
 def digest(log) -> str:
@@ -87,6 +93,29 @@ def workspace_lines(mount: str):
         yield f"workspace 2x1 {mount} {WORKSPACE_LETTER} tile={k} {digest(log)}"
 
 
+def workspace_session_lines(mount: str):
+    import numpy as np
+
+    from repro.motion.script import script_for_letter
+    from repro.sim.scenario import ScenarioConfig
+    from repro.sim.workspace import WorkspaceConfig, build_workspace
+
+    base = ScenarioConfig(seed=SEEDS[1], mount=mount, location=2)
+    workspace = build_workspace(WorkspaceConfig(base=base, tiles_x=2))
+    tag = f"workspace-session 2x1 {mount}"
+    for k, log in enumerate(workspace.collect_tiles(CALIBRATION_S)):
+        yield f"{tag} calibration tile={k} {digest(log)}"
+    for i, letter in enumerate(SESSION_LETTERS):
+        script = script_for_letter(letter, workspace.rng)
+        for k, log in enumerate(workspace.collect_tiles(script.duration, script)):
+            yield f"{tag} {i:02d} {letter} tile={k} {digest(log)}"
+    base = ScenarioConfig(seed=SEEDS[2], mount=mount, location=2)
+    workspace = build_workspace(WorkspaceConfig(base=base, tiles_x=2, tiles_y=2))
+    script = script_for_letter(WORKSPACE_LETTER, np.random.default_rng(SEEDS[2]))
+    for k, log in enumerate(workspace.collect_tiles(script.duration, script)):
+        yield f"workspace 2x2 {mount} {WORKSPACE_LETTER} tile={k} {digest(log)}"
+
+
 def main(argv=None) -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -103,6 +132,9 @@ def main(argv=None) -> int:
                     print(line, flush=True)
     for mount in MOUNTS:
         for line in workspace_lines(mount):
+            print(line, flush=True)
+    for mount in MOUNTS:
+        for line in workspace_session_lines(mount):
             print(line, flush=True)
     return 0
 

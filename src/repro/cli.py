@@ -267,6 +267,7 @@ def cmd_live(args: argparse.Namespace) -> int:
 
 def _cmd_live_workspace(args: argparse.Namespace, tile_count: int) -> int:
     """Tiled live mode: per-tile chunk streams through a WorkspaceSession."""
+    from .core.segmentation import stitch_windows
     from .sim.live import iter_chunks
     from .stream import WorkspaceSession
 
@@ -293,8 +294,9 @@ def _cmd_live_workspace(args: argparse.Namespace, tile_count: int) -> int:
             if i < len(chunks):
                 _print_stream_events(session.ingest_tile(tile, chunks[i]))
     _print_stream_events(session.finalize())
-    stitched = session.stitched_windows
-    print(f"stitched {sum(len(w) for w in session.tile_windows)} per-tile "
+    tile_windows = [runner.pad.segment(lg) for lg in tile_logs]
+    stitched = stitch_windows(tile_windows)
+    print(f"stitched {sum(len(w) for w in tile_windows)} per-tile "
           f"windows into {len(stitched)} workspace windows")
     from .rfid.reports import merge_logs
 

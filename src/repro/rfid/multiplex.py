@@ -13,8 +13,11 @@ just sparser — RFIPad stream, so the per-pad pipelines run unchanged; the
 ``ext_multipad`` experiment measures what the duty-cycling costs.
 
 The dwell plan is computed up front by :class:`DwellScheduler`, a pure
-function of ``(port_count, dwell_s, duration)``.  That buys two
-invariants the workspace layer depends on:
+function of ``(port_count, dwell_s, duration)``.  Each port owns its RNG
+stream, so a collect hands every port its share of the plan in one
+``Reader.collect(slices=...)`` call: one inventory pass (a fresh round
+per slice, as on an antenna switch) and one emit per port.  The plan
+buys two invariants the workspace layer depends on:
 
 * **1x1 degeneracy** — a single-port schedule is ONE contiguous slice
   covering the whole duration, so the port's reader consumes its RNG in
@@ -30,7 +33,7 @@ invariants the workspace layer depends on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,12 +119,10 @@ class MultiplexedReader:
 
     All ports share one RF front end (one ``ReaderConfig``); commodity
     readers default to a few hundred milliseconds per antenna
-    (``dwell_s``).  By default the ports also share one RNG, mirroring a
-    real reader's single pseudo-random inventory engine; passing
-    ``rngs`` gives each port an independent stream, which decouples the
-    ports statistically (used by workspaces, where each tile must stay
-    bit-identical to its solo-pad twin regardless of what the other
-    tiles are doing).
+    (``dwell_s``).  ``rngs`` gives each port its own generator: a port's
+    draws then depend only on its own slices, which lets a collect run
+    port by port, and keeps each workspace tile bit-identical to its
+    solo-pad twin regardless of what the other tiles are doing.
 
     Each per-port reader is engine-backed exactly like a solo reader:
     ``Reader`` builds its vectorized ``ChannelEngine`` (with the
@@ -134,17 +135,16 @@ class MultiplexedReader:
         ports: Sequence[ReaderPort],
         config: ReaderConfig = ReaderConfig(),
         noise: ReceiverNoise = ReceiverNoise(),
-        rng: Optional[np.random.Generator] = None,
         dwell_s: float = 0.25,
-        rngs: Optional[Sequence[np.random.Generator]] = None,
+        *,
+        rngs: Sequence[np.random.Generator],
     ) -> None:
         if not ports:
             raise ValueError("need at least one port")
-        if rngs is not None and len(rngs) != len(ports):
+        if len(rngs) != len(ports):
             raise ValueError(
                 f"need {len(ports)} per-port rngs, got {len(rngs)}"
             )
-        self.rng = rng if rng is not None else np.random.default_rng(0)
         self.scheduler = DwellScheduler(len(ports), dwell_s)
         self.readers: List[Reader] = [
             Reader(
@@ -161,9 +161,9 @@ class MultiplexedReader:
                 ),
                 p.environment,
                 noise,
-                rng=rngs[i] if rngs is not None else self.rng,
+                rng=rng,
             )
-            for i, p in enumerate(ports)
+            for i, (p, rng) in enumerate(zip(ports, rngs))
         ]
 
     @property
@@ -192,21 +192,20 @@ class MultiplexedReader:
 
         ``pose_fns[i]`` is port i's scene callback in *global* session
         time (or None for a quiet pad).  Returns one log per port, with
-        timestamps on the shared session clock.
+        timestamps on the shared session clock; a port the plan never
+        reaches (a collect shorter than one dwell) gets an empty log.
         """
         if len(pose_fns) != self.port_count:
             raise ValueError(
                 f"need {self.port_count} pose callbacks, got {len(pose_fns)}"
             )
-        logs = [ReportLog() for _ in self.readers]
+        plans: List[List[Tuple[float, float]]] = [[] for _ in self.readers]
         for s in self.scheduler.plan(duration):
-            self.readers[s.port].collect(
-                s.duration,
-                pose_fns[s.port],
-                start_time=s.t0,
-                log=logs[s.port],
-            )
-        return logs
+            plans[s.port].append((s.t0, s.t1))
+        return [
+            reader.collect(hand_pose_at=fn, slices=plan) if plan else ReportLog()
+            for reader, fn, plan in zip(self.readers, pose_fns, plans)
+        ]
 
     def collect_static(self, duration: float) -> List[ReportLog]:
         """Quiet-scene collect on every port (calibration traffic)."""

@@ -46,7 +46,7 @@ from ..units import (
 )
 from .deployment import TagArray
 from .inventory_vec import RoundBatchInventory, TrialAxisInventory
-from .protocol import Gen2Inventory, LinkProfile
+from .protocol import Gen2Inventory, InventoryStats, LinkProfile
 from .reports import ReportLog, TagReadReport
 
 HandPoseFn = Callable[[float], Optional[HandPose]]
@@ -406,11 +406,12 @@ class Reader:
 
     def collect(
         self,
-        duration: float,
+        duration: Optional[float] = None,
         hand_pose_at: Optional[HandPoseFn] = None,
         start_time: float = 0.0,
         log: Optional[ReportLog] = None,
         pose_at_many: Optional[PoseTrackFn] = None,
+        slices: Optional[Sequence[Tuple[float, float]]] = None,
     ) -> ReportLog:
         """Run continuous inventory for ``duration`` seconds.
 
@@ -418,6 +419,16 @@ class Reader:
         (or ``None`` when no hand is in the scene).  Readability is
         re-evaluated once per inventory round; each successful slot gets a
         full channel evaluation at the slot's own timestamp.
+
+        ``slices`` replaces ``duration``/``start_time`` with a dwell plan:
+        ``[(t0, t1), ...]`` stretches of inventory in time order, as a
+        multiplexed port receives them.  Each slice starts a fresh
+        inventory (Q resets, as on a real antenna switch) at ``t0`` and
+        runs until its clock passes ``t0 + (t1 - t0)``; all slices' reads
+        then go through one emit, so the Doppler history carries across
+        slices exactly as across consecutive collects.  Without
+        ``slices`` the plan is the one slice of ``duration`` from
+        ``start_time``.  ``last_inventory_stats`` is the sum over slices.
 
         With the channel engine enabled the window runs on the round-batched
         path: the MAC resolves whole rounds (:class:`RoundBatchInventory`)
@@ -430,8 +441,19 @@ class Reader:
         :class:`~repro.motion.script.WritingScript`), it is picked up
         automatically.
         """
-        if duration <= 0.0:
-            raise ValueError(f"duration must be positive, got {duration}")
+        if slices is None:
+            if duration is None:
+                raise ValueError("need a duration or a slice plan")
+            plan = [(start_time, duration)]
+        else:
+            if duration is not None:
+                raise ValueError("pass a duration or a slice plan, not both")
+            plan = [(t0, t1 - t0) for t0, t1 in slices]
+            if not plan:
+                raise ValueError("slice plan is empty")
+        for _, dur in plan:
+            if dur <= 0.0:
+                raise ValueError(f"duration must be positive, got {dur}")
         pose_at: HandPoseFn = hand_pose_at if hand_pose_at is not None else (lambda t: None)
         if pose_at_many is None and hand_pose_at is not None:
             owner = getattr(hand_pose_at, "__self__", None)
@@ -443,21 +465,36 @@ class Reader:
             self._engine is not None
             and os.environ.get("REPRO_SCALAR_INVENTORY", "0") != "1"
         )
-        if use_batched:
-            return self._collect_batched(
-                duration, pose_at, pose_at_many, start_time, out, n_before
+        with get_tracer().span(
+            "reader.collect", duration_s=sum(dur for _, dur in plan)
+        ) as sp:
+            if use_batched:
+                parts = self._collect_batched(plan, pose_at, pose_at_many, out)
+            else:
+                parts = [
+                    self._collect_scalar(t0, dur, pose_at, out)
+                    for t0, dur in plan
+                ]
+            stats = InventoryStats(
+                successes=sum(s.successes for s in parts),
+                collisions=sum(s.collisions for s in parts),
+                idles=sum(s.idles for s in parts),
+                elapsed=sum(s.elapsed for s in parts),
             )
-        return self._collect_scalar(duration, pose_at, start_time, out, n_before)
+            sp.set(
+                reads=stats.successes,
+                collisions=stats.collisions,
+                idles=stats.idles,
+                read_rate_hz=round(stats.read_rate, 1),
+            )
+        self.last_inventory_stats = stats
+        self._record_metrics(stats, out, n_before)
+        return out
 
     def _collect_scalar(
-        self,
-        duration: float,
-        pose_at: HandPoseFn,
-        start_time: float,
-        out: ReportLog,
-        n_before: int,
-    ) -> ReportLog:
-        """The reference slot loop: one ``observe_tag`` per success."""
+        self, start_time: float, duration: float, pose_at: HandPoseFn, out: ReportLog
+    ) -> InventoryStats:
+        """The reference slot loop over one slice: one ``observe_tag`` per success."""
         inventory = Gen2Inventory(
             self.rng, start_time=start_time, profile=self.config.link_profile
         )
@@ -465,33 +502,22 @@ class Reader:
         def readable_at(t: float) -> Sequence[int]:
             return self.readable_indices(pose_at(t))
 
-        with get_tracer().span("reader.collect", duration_s=duration) as sp:
-            for slot in inventory.run_until(
-                start_time + duration, readable_at, successes_only=True
-            ):
-                if slot.winner is not None:
-                    out.append(self.observe_tag(slot.winner, slot.time, pose_at(slot.time)))
-            stats = inventory.stats
-            sp.set(
-                reads=stats.successes,
-                collisions=stats.collisions,
-                idles=stats.idles,
-                read_rate_hz=round(stats.read_rate, 1),
-            )
-        self.last_inventory_stats = inventory.stats
-        self._record_metrics(inventory.stats, out, n_before)
-        return out
+        for slot in inventory.run_until(
+            start_time + duration, readable_at, successes_only=True
+        ):
+            if slot.winner is not None:
+                out.append(self.observe_tag(slot.winner, slot.time, pose_at(slot.time)))
+        return inventory.stats
 
     def _collect_batched(
         self,
-        duration: float,
+        plan: Sequence[Tuple[float, float]],
         pose_at: HandPoseFn,
         pose_at_many: Optional[PoseTrackFn],
-        start_time: float,
         out: ReportLog,
-        n_before: int,
-    ) -> ReportLog:
-        """Round-batched inventory + row-batched channel evaluation.
+    ) -> List[InventoryStats]:
+        """Round-batched inventory over a ``(start, duration)`` plan, then
+        one row-batched channel evaluation; returns per-slice MAC stats.
 
         RNG stream contract (what makes the output bit-identical to the
         scalar path): per round, the MAC consumes one ``integers`` draw,
@@ -499,11 +525,10 @@ class Reader:
         success *in slot order* before the next round's draw.  Here each
         round's successes pull one ``standard_normal(k * nz)`` block inside
         the generator loop — same stream positions, same values — and the
-        block is later sliced per read in the same slot order.
+        block is later sliced per read in the same slot order.  Slices run
+        back to back on the same generator, so the stream is the one a
+        collect per slice consumes.
         """
-        inventory = RoundBatchInventory(
-            self.rng, start_time=start_time, profile=self.config.link_profile
-        )
         nz_f = self.environment.flutter_draw_count
         nz = nz_f + 4
         sens_w = self._sensitivity_w()
@@ -511,11 +536,15 @@ class Reader:
         def readable_at(t: float) -> np.ndarray:
             return self._readable_arr(pose_at(t), sens_w)
 
-        with get_tracer().span("reader.collect", duration_s=duration) as sp:
-            all_times: List[np.ndarray] = []
-            all_winners: List[np.ndarray] = []
-            all_z: List[np.ndarray] = []
-            n_total = 0
+        parts: List[InventoryStats] = []
+        all_times: List[np.ndarray] = []
+        all_winners: List[np.ndarray] = []
+        all_z: List[np.ndarray] = []
+        n_total = 0
+        for start_time, duration in plan:
+            inventory = RoundBatchInventory(
+                self.rng, start_time=start_time, profile=self.config.link_profile
+            )
             for rr in inventory.run_until_batch(start_time + duration, readable_at):
                 k = rr.n_success
                 if k == 0:
@@ -524,21 +553,13 @@ class Reader:
                 all_winners.append(rr.winners)
                 all_z.append(self.rng.standard_normal(k * nz))
                 n_total += k
-            if n_total:
-                times = np.concatenate(all_times)
-                winners = np.concatenate(all_winners)
-                z = np.concatenate(all_z).reshape(n_total, nz)
-                self._emit_batched(times, winners, z, nz_f, pose_at, pose_at_many, out)
-            stats = inventory.stats
-            sp.set(
-                reads=stats.successes,
-                collisions=stats.collisions,
-                idles=stats.idles,
-                read_rate_hz=round(stats.read_rate, 1),
-            )
-        self.last_inventory_stats = inventory.stats
-        self._record_metrics(inventory.stats, out, n_before)
-        return out
+            parts.append(inventory.stats)
+        if n_total:
+            times = np.concatenate(all_times)
+            winners = np.concatenate(all_winners)
+            z = np.concatenate(all_z).reshape(n_total, nz)
+            self._emit_batched(times, winners, z, nz_f, pose_at, pose_at_many, out)
+        return parts
 
     def _emit_batched(
         self,

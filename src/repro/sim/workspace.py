@@ -142,7 +142,6 @@ class Workspace:
                 link_profile=base.link_profile,
             ),
             noise if noise is not None else ReceiverNoise(),
-            rng=tiles[0].rng,
             dwell_s=config.dwell_s,
             rngs=[sc.rng for sc in tiles],
         )

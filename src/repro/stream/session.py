@@ -49,7 +49,7 @@ import numpy as np
 
 from ..core.events import LetterResult, SegmentedWindow, StrokeObservation
 from ..core.pipeline import RFIPad
-from ..core.segmentation import StreamSegmenter, stitch_windows
+from ..core.segmentation import StreamSegmenter
 from ..core.stages import GrammarStage, StageContext, WindowAnalyzer, widest_window
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer
@@ -377,11 +377,9 @@ class WorkspaceSession:
     For ``tile_count == 1`` the session is a pure pass-through to the
     inner :class:`StreamingSession` — no buffering, no extra state — so
     the 1x1 workspace's streamed events are bit-identical to today's
-    single-pad stream.  For multi-tile workspaces, per-tile diagnostic
-    segmenters additionally track what each tile would have said alone;
-    :attr:`stitched_windows` merges those via
-    :func:`~repro.core.segmentation.stitch_windows` to expose the
-    boundary-crossing seams the workspace pipeline healed.
+    single-pad stream.  What each tile would have said alone is computed
+    from the tile logs, not here: ``stitch_windows([pad.segment(log) for
+    log in tile_logs])`` shows the seams the workspace pipeline healed.
 
     When ``session_id`` is set, per-tile gauges are published as
     ``stream.tile_buffered_reads{session=..., tile=...}``; they carry the
@@ -409,17 +407,6 @@ class WorkspaceSession:
         self._pending: List[ReportLog] = [ReportLog() for _ in range(tile_count)]
         self._marks: List[float] = [-math.inf] * tile_count
         self._released = -math.inf
-        if tile_count > 1:
-            ctx = pad.stage_context()
-            self._tile_segmenters: List[Optional[StreamSegmenter]] = [
-                pad.stages.segmentation.stream(ctx) for _ in range(tile_count)
-            ]
-            self._tile_windows: List[List[SegmentedWindow]] = [
-                [] for _ in range(tile_count)
-            ]
-        else:
-            self._tile_segmenters = []
-            self._tile_windows = []
 
     # -- ingestion -----------------------------------------------------
 
@@ -437,7 +424,6 @@ class WorkspaceSession:
             self._pending[tile].extend_columns(
                 ts, tag, phase, rss, dopp, epc, antenna_port=int(port[0])
             )
-            self._segment_tile(tile, ts, tag, phase)
             self._marks[tile] = max(self._marks[tile], float(ts[-1]))
         if t_hi is not None:
             self._marks[tile] = max(self._marks[tile], float(t_hi))
@@ -481,9 +467,6 @@ class WorkspaceSession:
         events: List[StreamEvent] = []
         if len(tail):
             events.extend(self._inner.ingest(tail))
-        for tile, seg in enumerate(self._tile_segmenters):
-            if seg is not None:
-                self._tile_windows[tile].extend(seg.finalize())
         events.extend(self._inner.finalize())
         return events
 
@@ -518,33 +501,7 @@ class WorkspaceSession:
     def retention_time(self) -> Optional[float]:
         return self._inner.retention_time
 
-    @property
-    def tile_windows(self) -> List[List[SegmentedWindow]]:
-        """Each tile's solo segmentation (diagnostic; [] per tile for 1x1)."""
-        return [list(ws) for ws in self._tile_windows]
-
-    @property
-    def stitched_windows(self) -> List[SegmentedWindow]:
-        """What per-tile segmentation + cross-tile stitching yields.
-
-        Diagnostic view: the workspace pipeline itself segments the
-        merged stream directly (``windows``); this property shows the
-        same strokes as assembled from each tile's solo segmentation, so
-        tests and experiments can score the stitch against the merged
-        truth.  Empty for single-tile sessions (nothing to stitch).
-        """
-        if self.tile_count == 1:
-            return []
-        return stitch_windows(self._tile_windows)
-
     # -- internals -----------------------------------------------------
-
-    def _segment_tile(
-        self, tile: int, ts: np.ndarray, tag: np.ndarray, phase: np.ndarray
-    ) -> None:
-        seg = self._tile_segmenters[tile]
-        if seg is not None:
-            self._tile_windows[tile].extend(seg.ingest(ts, tag, phase))
 
     def _release(self) -> List[StreamEvent]:
         """Forward all reads every tile's watermark has passed."""

@@ -14,16 +14,22 @@ def two_pads():
         ReaderPort(a.antenna, a.array, a.environment),
         ReaderPort(b.antenna, b.array, b.environment),
     ]
-    return MultiplexedReader(ports, ReaderConfig(), rng=np.random.default_rng(0))
+    return MultiplexedReader(
+        ports,
+        ReaderConfig(),
+        rngs=[np.random.default_rng(0), np.random.default_rng(1)],
+    )
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        MultiplexedReader([], ReaderConfig())
+        MultiplexedReader([], ReaderConfig(), rngs=[])
     scenario = build_scenario(ScenarioConfig(seed=1))
     port = ReaderPort(scenario.antenna, scenario.array)
     with pytest.raises(ValueError):
-        MultiplexedReader([port], ReaderConfig(), dwell_s=0.0)
+        MultiplexedReader(
+            [port], ReaderConfig(), dwell_s=0.0, rngs=[np.random.default_rng(0)]
+        )
 
 
 def test_both_pads_get_reads(two_pads):
@@ -133,7 +139,7 @@ def test_single_port_collect_bit_identical_to_solo_reader():
     mux = MultiplexedReader(
         [ReaderPort(scenario.antenna, scenario.array, scenario.environment)],
         ReaderConfig(),
-        rng=np.random.default_rng(11),
+        rngs=[np.random.default_rng(11)],
     )
     (mux_log,) = mux.collect_static(2.0)
     for solo_col, mux_col in zip(solo_log.columns(), mux_log.columns()):
@@ -178,3 +184,109 @@ def test_rngs_length_validated():
 
 def test_vectorized_property_reports_engine_path(two_pads):
     assert two_pads.vectorized
+
+
+# ----------------------------------------------------------------------
+# One collect per port over its dwell plan equals one collect per slice.
+
+
+def _per_slice_collect(mux, duration, pose_fns):
+    """Reference: visit the plan in time order, one ``Reader.collect``
+    per slice; returns the logs and each port's per-slice MAC stats."""
+    from repro.rfid.reports import ReportLog
+
+    logs = [ReportLog() for _ in mux.readers]
+    stats = [[] for _ in mux.readers]
+    for s in mux.scheduler.plan(duration):
+        reader = mux.readers[s.port]
+        reader.collect(s.duration, pose_fns[s.port], start_time=s.t0, log=logs[s.port])
+        stats[s.port].append(reader.last_inventory_stats)
+    return logs, stats
+
+
+def _assert_ports_equal(mux, oracle_mux, logs, oracle_logs, oracle_stats):
+    assert len(logs) == len(oracle_logs)
+    for log, ref in zip(logs, oracle_logs):
+        for col, ref_col in zip(log.columns(), ref.columns()):
+            assert np.array_equal(col, ref_col)
+    for reader, ref_reader, parts in zip(mux.readers, oracle_mux.readers, oracle_stats):
+        assert reader.rng.bit_generator.state == ref_reader.rng.bit_generator.state
+        if not parts:
+            continue
+        stats = reader.last_inventory_stats
+        assert stats.successes == sum(p.successes for p in parts)
+        assert stats.collisions == sum(p.collisions for p in parts)
+        assert stats.idles == sum(p.idles for p in parts)
+        assert stats.elapsed == sum(p.elapsed for p in parts)
+
+
+def _session_equals_per_slice(base, tiles_x, tiles_y, letters):
+    """A calibration collect and then ``letters`` on one workspace, through
+    ``Workspace.collect_tiles`` and through the per-slice reference."""
+    from repro.motion.script import script_for_letter
+    from repro.sim.workspace import WorkspaceConfig, build_workspace
+
+    config = WorkspaceConfig(base=base, tiles_x=tiles_x, tiles_y=tiles_y)
+    ws = build_workspace(config)
+    ref = build_workspace(config)
+    logs = ws.collect_tiles(3.0)
+    oracle_logs, oracle_stats = _per_slice_collect(ref.mux, 3.0, [None] * ref.tile_count)
+    _assert_ports_equal(ws.mux, ref.mux, logs, oracle_logs, oracle_stats)
+    for letter in letters:
+        script = script_for_letter(letter, ws.rng)
+        ref_script = script_for_letter(letter, ref.rng)
+        logs = ws.collect_tiles(script.duration, script)
+        oracle_logs, oracle_stats = _per_slice_collect(
+            ref.mux, ref_script.duration, ref.tile_views(ref_script)
+        )
+        _assert_ports_equal(ws.mux, ref.mux, logs, oracle_logs, oracle_stats)
+        assert sum(len(log) for log in logs) > 0
+
+
+@pytest.mark.parametrize("mount", ["nlos", "los"])
+@pytest.mark.parametrize("tiles", [(2, 1), (2, 2)], ids=["2x1", "2x2"])
+def test_workspace_session_equals_per_slice_collects(mount, tiles):
+    # Doppler history and RNG streams carry from the calibration collect
+    # through three letters, so every collect starts from the state the
+    # previous one left behind.
+    base = ScenarioConfig(seed=4, mount=mount, location=2)
+    _session_equals_per_slice(base, *tiles, letters="LTA")
+
+
+def test_scalar_inventory_equals_per_slice_collects(monkeypatch):
+    monkeypatch.setenv("REPRO_SCALAR_INVENTORY", "1")
+    _session_equals_per_slice(ScenarioConfig(seed=5), 2, 1, letters="L")
+
+
+def test_collect_shorter_than_one_dwell_leaves_idle_port_untouched():
+    from repro.sim.workspace import WorkspaceConfig, build_workspace
+
+    config = WorkspaceConfig(base=ScenarioConfig(seed=6), tiles_x=2)
+    ws = build_workspace(config)
+    ref = build_workspace(config)
+    idle_state = ws.mux.readers[1].rng.bit_generator.state
+    logs = ws.collect_tiles(0.03)
+    oracle_logs, oracle_stats = _per_slice_collect(ref.mux, 0.03, [None, None])
+    assert len(logs[0]) > 0
+    assert len(logs[1]) == 0
+    assert ws.mux.readers[1].rng.bit_generator.state == idle_state
+    _assert_ports_equal(ws.mux, ref.mux, logs, oracle_logs, oracle_stats)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"slices": []},
+        {"slices": [(0.0, 0.1), (0.2, 0.2)]},
+        {"slices": [(0.3, 0.1)]},
+        {"duration": 1.0, "slices": [(0.0, 0.1)]},
+        {},
+    ],
+)
+def test_slice_plan_validated(kwargs):
+    from repro.rfid.reader import Reader
+
+    scenario = build_scenario(ScenarioConfig(seed=1))
+    reader = Reader(scenario.antenna, scenario.array, environment=scenario.environment)
+    with pytest.raises(ValueError):
+        reader.collect(**kwargs)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.segmentation import stitch_windows
 from repro.motion.script import script_for_letter
 from repro.rfid.reports import merge_logs
 from repro.sim.live import iter_chunks
@@ -70,7 +71,6 @@ def test_single_tile_session_equals_streaming_session(shared_runner):
     ws.finalize()
     assert ws.windows == plain.windows
     assert_letter_equal(ws.letter_result, plain.letter_result)
-    assert ws.stitched_windows == []
 
 
 def test_tile_count_validated(shared_runner):
@@ -149,13 +149,10 @@ def test_explicit_watermark_advances_release(ws_runner, letter_capture):
 
 def test_stitched_windows_cover_strokes(ws_runner, letter_capture):
     tile_logs, _, batch, batch_windows = letter_capture
-    session = _drain(
-        WorkspaceSession(ws_runner.pad, tile_count=2),
-        [list(iter_chunks(log, 0.1)) for log in tile_logs],
-    )
-    stitched = session.stitched_windows
-    assert len(session.tile_windows) == 2
-    assert sum(len(w) for w in session.tile_windows) >= len(stitched) >= 1
+    tile_windows = [ws_runner.pad.segment(log) for log in tile_logs]
+    stitched = stitch_windows(tile_windows)
+    assert len(tile_windows) == 2
+    assert sum(len(w) for w in tile_windows) >= len(stitched) >= 1
     # Stitched windows are time-ordered and non-overlapping.
     for prev, cur in zip(stitched, stitched[1:]):
         assert cur.t0 > prev.t1
