@@ -317,6 +317,27 @@ done
 rm -f /tmp/repro-ws-smoke.$$
 echo "ok"
 
+echo "== 2x2 workspace smoke (calibration on seeds 1 and 2) =="
+# A 2x2 workspace must calibrate every tile: on seeds 1 and 2 a 3 s
+# capture reads one tag fewer than the 5 times calibration needs.
+for seed in 1 2; do
+    python -m repro --seed "$seed" live --workspace 2x2 --letter W \
+        > /tmp/repro-ws22-smoke.$$ 2>&1 || {
+        cat /tmp/repro-ws22-smoke.$$
+        rm -f /tmp/repro-ws22-smoke.$$
+        echo "repro --seed $seed live --workspace 2x2 failed" >&2
+        exit 1
+    }
+    if ! grep -q "from 4 tiles" /tmp/repro-ws22-smoke.$$; then
+        cat /tmp/repro-ws22-smoke.$$
+        rm -f /tmp/repro-ws22-smoke.$$
+        echo "2x2 workspace smoke output is missing 'from 4 tiles'" >&2
+        exit 1
+    fi
+done
+rm -f /tmp/repro-ws22-smoke.$$
+echo "ok"
+
 echo "== multipad gate (throughput + stitch error, vs recorded history) =="
 # Reads the entry the smoke bench appended: the multiplexed-pad leg must
 # keep its throughput within 2x of the best recorded same-size entry and

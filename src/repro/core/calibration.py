@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Mapping, Optional
 
 import numpy as np
@@ -111,17 +112,78 @@ class StaticCalibration:
         down-weighted and quiet locations amplified.  Biases are clamped
         to ``weight_clamp_band`` around their median first.
         """
-        raw = {i: self.deviation_bias(i) for i in self.tags}
-        values = sorted(raw.values())
-        median = values[len(values) // 2]
-        lo, hi = median / self.weight_clamp_band, median * self.weight_clamp_band
-        biases = {i: min(hi, max(lo, b)) for i, b in raw.items()}
-        total = sum(biases.values())
-        return {i: b / total for i, b in biases.items()}
+        table = self.table
+        return {i: float(table.weight[i - table.lo]) for i in self.tags}
+
+    @cached_property
+    def table(self) -> "CalibrationTable":
+        """The calibration's lookup table, built on first use.
+
+        A calibration is not mutated after :func:`calibrate` builds it, so
+        the table (and the Eq. 9 weights in it) is computed once.
+        """
+        return CalibrationTable.build(self)
 
     def residual_series(self, tag_index: int, phases: np.ndarray) -> np.ndarray:
         """Calibrated, unwrapped phase residual of a tag (Eq. 8 + unwrap)."""
         return unwrap_residual(phases, self.central_phase(tag_index))
+
+
+@dataclass(frozen=True)
+class CalibrationTable:
+    """Tag id → row slot lookup, with each tag's constants by slot.
+
+    Tag id ``t`` looks up slot ``clip(t - lo, 0, top)`` with ``lo`` one
+    below the smallest calibrated id: slots ``1..top-1`` span the
+    calibrated ids, while slots ``0`` and ``top`` catch every id below and
+    above them and are never known.  A raw id must not index the arrays,
+    because numpy wraps negative indices.  The streaming segmenter's open
+    reads and the analysis window block both look ids up here, so the
+    id → slot decision lives in one place.
+    """
+
+    lo: int
+    top: int
+    ids: np.ndarray       # calibrated ids, ascending
+    known: np.ndarray     # (top + 1,) bool, per slot
+    centre: np.ndarray    # (top + 1,) central phase (Eq. 6), 0 where unknown
+    mean_rss: np.ndarray  # (top + 1,) static mean RSS, 0 where unknown
+    weight: np.ndarray    # (top + 1,) Eq. 9 weight, 0 where unknown
+
+    @classmethod
+    def build(cls, calibration: "StaticCalibration") -> "CalibrationTable":
+        ids = np.array(sorted(calibration.tags), dtype=np.int64)
+        lo = int(ids[0]) - 1
+        top = int(ids[-1]) - lo + 1
+        slots = ids - lo
+        known = np.zeros(top + 1, dtype=bool)
+        known[slots] = True
+        centre = np.zeros(top + 1)
+        centre[slots] = [calibration.central_phase(int(i)) for i in ids]
+        mean_rss = np.zeros(top + 1)
+        mean_rss[slots] = [calibration.mean_rss(int(i)) for i in ids]
+        # Eq. 9 with the clamp band, in the calibration's tag order: the
+        # sum below adds the clamped biases in that order.
+        raw = {i: calibration.deviation_bias(i) for i in calibration.tags}
+        values = sorted(raw.values())
+        median = values[len(values) // 2]
+        band = calibration.weight_clamp_band
+        lo_b, hi_b = median / band, median * band
+        biases = {i: min(hi_b, max(lo_b, b)) for i, b in raw.items()}
+        total = sum(biases.values())
+        weight = np.zeros(top + 1)
+        weight[[i - lo for i in biases]] = [b / total for b in biases.values()]
+        for arr in (ids, known, centre, mean_rss, weight):
+            arr.flags.writeable = False
+        return cls(lo=lo, top=top, ids=ids, known=known, centre=centre,
+                   mean_rss=mean_rss, weight=weight)
+
+    def slots(self, tag_ids: np.ndarray) -> np.ndarray:
+        """Slot of every id; ids outside the calibrated range land in a
+        sentinel slot."""
+        # minimum/maximum rather than np.clip, whose wrapper costs more than
+        # the clamp itself on a chunk-sized array.
+        return np.minimum(np.maximum(np.asarray(tag_ids, dtype=np.int64) - self.lo, 0), self.top)
 
 
 def calibrate(log: ReportLog, min_samples: int = 5) -> StaticCalibration:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +31,7 @@ from ..motion.strokes import ArcOpening, Direction, StrokeKind
 from ..physics.geometry import GridLayout
 from ..rfid.reports import ReportLog
 from .calibration import StaticCalibration
+from .window import WindowBlock, row_sums
 
 
 @dataclass(frozen=True)
@@ -55,11 +57,82 @@ class DirectionConfig:
 
 
 def _smooth(values: np.ndarray, window: int) -> np.ndarray:
+    """Moving average of one tag's RSS (``mode="same"``, width clipped to
+    the series length)."""
     if window <= 1 or values.size <= 2:
         return values.astype(float)
     k = min(window, values.size)
+    return np.convolve(values, _box_kernel(k), mode="same")
+
+
+@lru_cache(maxsize=None)
+def _box_kernel(k: int) -> np.ndarray:
     kernel = np.ones(k) / k
-    return np.convolve(values.astype(float), kernel, mode="same")
+    kernel.flags.writeable = False
+    return kernel
+
+
+def trough_rows(
+    block: WindowBlock,
+    config: DirectionConfig = DirectionConfig(),
+    restrict_to: Optional[Sequence[int]] = None,
+) -> List[Trough]:
+    """The two-stage trough estimate over a window block, ordered by time.
+
+    Rows with at least 3 reads are candidates.  Each is smoothed with its
+    own ``np.convolve`` (no row-wise form reproduces numpy's convolution
+    bits); the dip below the static baseline, its depth, the stage-1 gate
+    and the weighted centre of the stage-2 bottom region are row
+    operations.  The centre's sums run over each row's bottom samples,
+    packed to the front of the row in time order, through
+    :func:`~repro.core.window.row_sums`.  The final sort is stable, so
+    equal trough times keep the rows' first-appearance order.
+    """
+    counts = block.counts
+    cand = counts >= 3
+    if restrict_to is not None:
+        cand &= np.isin(block.ids, np.asarray(list(restrict_to), dtype=np.int64))
+    rows = np.flatnonzero(cand)
+    if rows.size == 0:
+        return []
+    n = counts[rows]
+    width = block.rss.shape[1]
+    smoothed = np.zeros((rows.size, width))
+    rss = block.rss
+    for i, (r, c) in enumerate(zip(rows.tolist(), n.tolist())):
+        smoothed[i, :c] = _smooth(rss[r, :c], config.smooth_window)
+    # The dip below the static baseline; -inf past each row's reads, so
+    # padding neither sets the depth nor joins the bottom region.
+    dip = np.where(
+        np.arange(width) < n[:, None],
+        block.table.mean_rss[block.slots[rows]][:, None] - smoothed,
+        -np.inf,
+    )
+    depth = dip.max(axis=1)
+    # Stage 1: the candidate gate.
+    keep = np.flatnonzero(~(depth < config.min_depth_db))
+    if keep.size == 0:
+        return []
+    rows, dip, depth = rows[keep], dip[keep], depth[keep]
+    # Stage 2: centre of the bottom region.  Its samples are packed to the
+    # front of two stacked matrices, dip-weighted times over the weights.
+    r_idx, c_idx = np.nonzero(dip >= (depth * config.bottom_fraction)[:, None])
+    sizes = np.bincount(r_idx, minlength=rows.size)
+    packed = np.arange(r_idx.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    weights = dip[r_idx, c_idx]
+    stacked = np.zeros((2 * rows.size, width))
+    stacked[r_idx, packed] = block.ts[rows[r_idx], c_idx] * weights
+    stacked[rows.size + r_idx, packed] = weights
+    sums = row_sums(stacked, np.concatenate((sizes, sizes)))
+    times = sums[: rows.size] / sums[rows.size :]
+    troughs = [
+        Trough(tag_index=idx, time=t, depth_db=d)
+        for idx, t, d in zip(
+            block.ids[rows].tolist(), times.tolist(), depth.tolist()
+        )
+    ]
+    troughs.sort(key=lambda tr: tr.time)
+    return troughs
 
 
 def detect_troughs(
@@ -70,40 +143,16 @@ def detect_troughs(
     config: DirectionConfig = DirectionConfig(),
     restrict_to: Optional[Sequence[int]] = None,
 ) -> List[Trough]:
-    """Find per-tag RSS troughs inside a window, ordered by time."""
-    window = log
-    if t0 is not None or t1 is not None:
-        lo = t0 if t0 is not None else float("-inf")
-        hi = t1 if t1 is not None else float("inf")
-        window = log.slice_time(lo, hi)
+    """Find per-tag RSS troughs inside a window, ordered by time.
 
-    allowed = set(restrict_to) if restrict_to is not None else None
-    troughs: List[Trough] = []
-    for idx, series in window.per_tag().items():
-        if idx not in calibration.tags:
-            continue
-        if allowed is not None and idx not in allowed:
-            continue
-        if len(series) < 3:
-            continue
-        baseline = calibration.mean_rss(idx)
-        smoothed = _smooth(series.rss, config.smooth_window)
-        dip = baseline - smoothed  # positive where the RSS is suppressed
-        depth = float(dip.max())
-        if depth < config.min_depth_db:
-            continue
-        # Stage 2: centre of the bottom region.
-        cutoff = depth * config.bottom_fraction
-        bottom = dip >= cutoff
-        weights = dip[bottom]
-        times = series.timestamps[bottom]
-        t_trough = float((times * weights).sum() / weights.sum())
-        troughs.append(Trough(tag_index=idx, time=t_trough, depth_db=depth))
-
-    troughs.sort(key=lambda tr: tr.time)
-    return troughs
+    Builds the window's :class:`~repro.core.window.WindowBlock` and runs
+    :func:`trough_rows`, the kernel the pipeline's direction stage runs.
+    """
+    block = WindowBlock.from_log(log, calibration.table, t0, t1)
+    return trough_rows(block, config, restrict_to)
 
 
+@lru_cache(maxsize=None)
 def _skeleton_forward(kind: StrokeKind, opening: Optional[ArcOpening]) -> Tuple[float, float]:
     """Canonical FORWARD travel vector, derived from the stroke skeleton.
 

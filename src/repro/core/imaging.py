@@ -56,13 +56,28 @@ def render_grey_map(per_tag_values: Dict[int, float], layout: GridLayout) -> Gre
     Tags absent from ``per_tag_values`` (e.g. unreadable during the window)
     render as zero — the same thing a dropped tag looks like on the pad.
     """
-    img = np.zeros((layout.rows, layout.cols), dtype=float)
-    for idx, value in per_tag_values.items():
-        if idx < 0:
-            continue  # loose tags outside the pad don't render
-        r, c = layout.row_col(idx)
-        img[r, c] = max(0.0, float(value))
-    return GreyMap(values=img, layout=layout)
+    ids = np.fromiter(per_tag_values.keys(), dtype=np.int64, count=len(per_tag_values))
+    values = np.fromiter(
+        (float(v) for v in per_tag_values.values()), dtype=float, count=len(per_tag_values)
+    )
+    return grey_map_rows(ids, values, layout)
+
+
+def grey_map_rows(ids: np.ndarray, values: np.ndarray, layout: GridLayout) -> GreyMap:
+    """Place the value of each tag id into its cell, with one flat-index
+    assignment (a tag's flat index is its row-major cell, ``row_col`` is
+    ``divmod(idx, cols)``).
+
+    Negative values clamp to 0, and loose tags outside the pad (negative
+    ids) don't render; ids must be distinct.
+    """
+    on = ids >= 0
+    ids, values = ids[on], values[on]
+    if ids.size and int(ids.max()) >= layout.count:
+        raise IndexError(f"index {int(ids.max())} outside 0..{layout.count - 1}")
+    img = np.zeros(layout.count)
+    img[ids] = np.where(values > 0.0, values, 0.0)
+    return GreyMap(values=img.reshape(layout.rows, layout.cols), layout=layout)
 
 
 @dataclass(frozen=True)

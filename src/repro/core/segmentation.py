@@ -106,25 +106,15 @@ class _OpenReads:
 
     Three time-ordered columns hold each read's frame index, its tag's
     first-appearance rank and its squared calibrated residual.  :meth:`add`
-    fills them a whole chunk at a time through tag-indexed lookup arrays;
+    fills them a whole chunk at a time through the calibration's
+    :class:`~repro.core.calibration.CalibrationTable` slots;
     :meth:`close` turns a frame range into RMS values with one
     :func:`_frame_rms_kernel` call and drops those reads.
     """
 
     def __init__(self, calibration: StaticCalibration) -> None:
-        ids = np.array(sorted(calibration.tags), dtype=np.int64)
-        # Tag id ``t`` looks up slot ``clip(t - lo, 0, top)`` with ``lo`` one
-        # below the smallest calibrated id: slots 1..top-1 span the
-        # calibrated ids, while slots 0 and ``top`` catch every id below and
-        # above them and are never known.  A raw id must not index the
-        # tables, because numpy wraps negative indices.
-        self._lo = int(ids[0]) - 1
-        self._top = int(ids[-1]) - self._lo + 1
-        self._known = np.zeros(self._top + 1, dtype=bool)
-        self._known[ids - self._lo] = True
-        self._centre = np.zeros(self._top + 1)
-        self._centre[ids - self._lo] = [calibration.central_phase(int(i)) for i in ids]
-        self._rank = np.full(self._top + 1, -1, dtype=np.int64)
+        self._table = calibration.table
+        self._rank = np.full(self._table.top + 1, -1, dtype=np.int64)
         self.n_ranks = 0
         self.closed = 0  # frames before this index are closed
         self._frames = np.empty(0, dtype=np.int64)
@@ -137,8 +127,9 @@ class _OpenReads:
         Reads of uncalibrated tags are skipped, and so are reads in an
         already closed frame, which only a chunk out of time order holds.
         """
-        slot = np.clip(np.asarray(tags, dtype=np.int64) - self._lo, 0, self._top)
-        keep = self._known[slot] & (frames >= self.closed)
+        table = self._table
+        slot = table.slots(tags)
+        keep = table.known[slot] & (frames >= self.closed)
         if not keep.all():
             frames, slot, phases = frames[keep], slot[keep], phases[keep]
         ranks = self._rank[slot]
@@ -149,7 +140,7 @@ class _OpenReads:
             self._rank[order] = np.arange(self.n_ranks, self.n_ranks + order.size)
             self.n_ranks += order.size
             ranks = self._rank[slot]
-        residuals = fold_to_pi_many(phases - self._centre[slot])
+        residuals = fold_to_pi_many(phases - table.centre[slot])
         self._frames = np.concatenate((self._frames, frames))
         self._ranks = np.concatenate((self._ranks, ranks))
         self._squares = np.concatenate((self._squares, residuals * residuals))
@@ -208,23 +199,45 @@ def frame_rms(
     return times, reads.close(n_frames, fold_last=True)
 
 
+def _window_std(values: "list[float]") -> float:
+    """``np.std`` of one window of frame RMS values (0.0 below 2 values).
+
+    numpy computes the mean as a sum over ``n``, then sums the squared
+    deviations and divides by ``n`` again; below 8 values each of its sums
+    is a plain left fold from 0.0, so the same steps on Python floats give
+    the same bits at a fraction of numpy's per-call cost.  Longer windows
+    (``window_frames >= 8``) go through numpy, whose pairwise summation
+    splits from 8 values on.
+    """
+    n = len(values)
+    if n < 2:
+        return 0.0
+    if n >= 8:
+        return float(np.std(values))
+    mean = 0.0
+    for v in values:
+        mean += v
+    mean /= n
+    q = 0.0
+    for v in values:
+        d = v - mean
+        q += d * d
+    return math.sqrt(q / n)
+
+
 def window_std(rms: np.ndarray, window_frames: int) -> np.ndarray:
     """Sliding std of the frame RMS (stride 1 frame), length = len(rms).
 
     Window ``i`` covers frames ``[i, i + window_frames)``; trailing windows
     shrink at the stream end rather than disappearing, so late strokes are
-    still detectable.
+    still detectable.  Each window goes through :func:`_window_std`, the
+    helper :class:`StreamSegmenter` calls as its windows close.
     """
-    n = rms.size
-    out = np.zeros(n)
-    full = n - window_frames + 1
-    if full > 0:
-        windows = np.lib.stride_tricks.sliding_window_view(rms, window_frames)
-        out[:full] = windows.std(axis=1)
-    for i in range(max(0, full), n):
-        chunk = rms[i : i + window_frames]
-        out[i] = float(chunk.std()) if chunk.size >= 2 else 0.0
-    return out
+    values = np.asarray(rms, dtype=float).tolist()
+    return np.array(
+        [_window_std(values[i : i + window_frames]) for i in range(len(values))],
+        dtype=float,
+    )
 
 
 def causal_gates(stds: np.ndarray, config: SegmentationConfig) -> np.ndarray:
@@ -673,11 +686,7 @@ class StreamSegmenter:
         w = self.config.window_frames
         while self._next_window <= upto:
             i = self._next_window
-            values = np.array(self._rms[i - self._base : i - self._base + w])
-            if values.size >= 2:
-                std = float(values.std())
-            else:
-                std = 0.0
+            std = _window_std(self._rms[i - self._base : i - self._base + w])
             self._stds.append(std)
             if std > self._peak:
                 self._peak = std

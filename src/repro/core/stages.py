@@ -39,17 +39,18 @@ from .calibration import StaticCalibration
 from .classifier import ClassifierConfig, classify_shape
 from .direction import (
     DirectionConfig,
-    detect_troughs,
     estimate_direction,
     passage_order,
     trough_path,
+    trough_rows,
 )
 from .events import LetterResult, SegmentedWindow, StrokeObservation
 from .grammar import TreeGrammar
-from .imaging import render_grey_map
+from .imaging import grey_map_rows
 from .otsu import binarize
 from .segmentation import SegmentationConfig, StreamSegmenter, segment_strokes
-from .suppression import accumulative_differences
+from .suppression import raw_rows, suppression_rows
+from .window import WindowBlock
 
 __all__ = [
     "ClassifyStage",
@@ -81,8 +82,8 @@ class Stage(Protocol):
 
     Stages are frozen config holders whose ``run``-style methods take a
     :class:`StageContext` plus the data they transform; signatures differ
-    per stage (a suppression stage maps logs to per-tag scores, a grammar
-    stage maps strokes to letters), so the protocol pins only the common
+    per stage (a suppression stage maps a window block to per-tag scores,
+    a grammar stage maps strokes to letters), so the protocol pins only the common
     contract: a stable ``name`` — which doubles as the tracer span name —
     and statelessness (all state arrives via arguments).
     """
@@ -102,20 +103,15 @@ class SuppressionStage:
     def name(self) -> str:
         return "suppression"
 
-    def run(
-        self,
-        ctx: StageContext,
-        log: ReportLog,
-        t0: Optional[float],
-        t1: Optional[float],
-    ) -> dict:
-        """Per-tag disturbance values for the window ``[t0, t1)``."""
+    def run(self, ctx: StageContext, block: WindowBlock):
+        """Disturbance value of each block row (the window's read tags)."""
         with get_tracer().span(self.name) as sp:
-            supp = accumulative_differences(
-                log, ctx.calibration, t0, t1, bias_weighting=self.bias_weighting
-            )
-            sp.set(tags=len(supp.suppressed), reads=sum(supp.read_counts.values()))
-        return supp.suppressed if self.diversity_suppression else supp.raw
+            if self.diversity_suppression:
+                values = suppression_rows(block, bias_weighting=self.bias_weighting)
+            else:
+                values = raw_rows(block)
+            sp.set(tags=int(block.table.ids.size), reads=block.reads)
+        return values
 
 
 @dataclass(frozen=True)
@@ -126,9 +122,10 @@ class ImagingStage:
     def name(self) -> str:
         return "imaging"
 
-    def run(self, ctx: StageContext, values: dict):
+    def run(self, ctx: StageContext, block: WindowBlock, values):
+        """The grey map of per-row values; unread tags render as zero."""
         with get_tracer().span(self.name):
-            return render_grey_map(values, ctx.layout)
+            return grey_map_rows(block.ids, values, ctx.layout)
 
 
 @dataclass(frozen=True)
@@ -156,13 +153,7 @@ class DirectionStage:
     def name(self) -> str:
         return "direction"
 
-    def run(
-        self,
-        ctx: StageContext,
-        log: ReportLog,
-        t0: Optional[float],
-        t1: Optional[float],
-    ):
+    def run(self, ctx: StageContext, block: WindowBlock):
         """Returns ``(troughs, path)`` for the window.
 
         Troughs are detected over *all* calibrated tags, not just OTSU
@@ -174,7 +165,7 @@ class DirectionStage:
         <= rows*cols troughs and rides inside the enclosing span.
         """
         with get_tracer().span(self.name) as sp:
-            troughs = detect_troughs(log, ctx.calibration, t0, t1, self.config)
+            troughs = trough_rows(block, self.config)
             path = trough_path(troughs, ctx.layout, self.config)
             sp.set(troughs=len(troughs))
         return troughs, path
@@ -258,6 +249,11 @@ class WindowAnalyzer:
     streaming (:class:`repro.stream.StreamingSession` runs it as each
     window closes, over its retention buffer — exact, because every stage
     only reads ``[t0, t1)``).
+
+    :meth:`analyze` groups the window's reads once, into a
+    :class:`~repro.core.window.WindowBlock` (one row per calibrated tag
+    read in the window), and the suppression, imaging and direction
+    stages all read that block; no stage splits the log again.
     """
 
     suppression: SuppressionStage = field(default_factory=SuppressionStage)
@@ -280,10 +276,11 @@ class WindowAnalyzer:
         """
         tracer = get_tracer()
         with tracer.span("analyze_window"):
-            values = self.suppression.run(ctx, log, t0, t1)
-            grey = self.imaging.run(ctx, values)
+            block = WindowBlock.from_log(log, ctx.calibration.table, t0, t1)
+            values = self.suppression.run(ctx, block)
+            grey = self.imaging.run(ctx, block, values)
             binary = self.otsu.run(ctx, grey)
-            troughs, path = self.direction.run(ctx, log, t0, t1)
+            troughs, path = self.direction.run(ctx, block)
             win_lo = t0 if t0 is not None else (log.start_time if len(log) else 0.0)
             win_hi = t1 if t1 is not None else (log.end_time if len(log) else 0.0)
             decision = self.classify.run(

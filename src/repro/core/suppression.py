@@ -29,7 +29,8 @@ import numpy as np
 from ..obs.trace import get_tracer
 from ..rfid.reports import ReportLog
 from .calibration import StaticCalibration
-from .unwrap import total_variation
+from .unwrap import fold_to_pi_many, unwrap_rows, variation_rows
+from .window import WindowBlock
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,44 @@ class SuppressionResult:
         return np.array([self.suppressed.get(i, 0.0) for i in tag_indices])
 
 
+def suppression_rows(
+    block: WindowBlock,
+    per_sample: bool = True,
+    bias_weighting: bool = True,
+) -> np.ndarray:
+    """Eq. 8-10 over a window block: the suppressed value of each row.
+
+    The total variation of the calibrated, unwrapped residual, divided by
+    the difference count (``per_sample``) and by the Eq. 9 weight
+    (``bias_weighting``); rows with fewer than two reads score 0.  See
+    :func:`accumulative_differences` for the two options.
+    """
+    table = block.table
+    counts = block.counts
+    # Eq. 8: calibrate + de-periodicise every row.  Its own span, so the
+    # tracer sees unwrapping nested under the pipeline's `suppression`.
+    with get_tracer().span("unwrap") as sp:
+        residual = fold_to_pi_many(block.phase - table.centre[block.slots][:, None])
+        unwrapped = unwrap_rows(residual)
+        sp.set(tags=int(np.count_nonzero(counts >= 2)))
+    tv = variation_rows(unwrapped, counts)
+    if per_sample:
+        tv = tv / np.maximum(1, counts - 1)
+    return tv / table.weight[block.slots] if bias_weighting else tv
+
+
+def raw_rows(block: WindowBlock) -> np.ndarray:
+    """The naive Eq. 5 the paper starts from (Fig. 7a), per row: the
+    accumulative difference of the *wrapped* reports, with uniform weights
+    and no per-sample normalisation.
+
+    Tags whose central phase sits near the 0/2*pi boundary flicker across
+    it under noise and rack up spurious ~2*pi steps: the tag-diversity
+    artefact that de-periodicity + calibration remove.
+    """
+    return variation_rows(block.phase, block.counts)
+
+
 def accumulative_differences(
     log: ReportLog,
     calibration: StaticCalibration,
@@ -53,6 +92,12 @@ def accumulative_differences(
     bias_weighting: bool = True,
 ) -> SuppressionResult:
     """Compute raw and suppressed accumulative phase differences.
+
+    Builds the window's :class:`~repro.core.window.WindowBlock` and runs
+    :func:`raw_rows` and :func:`suppression_rows`, the kernels the
+    streaming and batch pipelines run.  Keys follow the block's rows (first
+    appearance in the window), then the calibrated tags the window never
+    read, which score 0.
 
     Parameters
     ----------
@@ -72,57 +117,18 @@ def accumulative_differences(
         the *location-diversity* half of the suppression for the ablation
         study; the paper's full algorithm corresponds to True.
     """
-    window = log
-    if t0 is not None or t1 is not None:
-        lo = t0 if t0 is not None else float("-inf")
-        hi = t1 if t1 is not None else float("inf")
-        window = log.slice_time(lo, hi)
-
-    raw: Dict[int, float] = {}
-    suppressed: Dict[int, float] = {}
-    counts: Dict[int, int] = {}
-    weights = calibration.weights()
-    per_tag = window.per_tag()
-
-    # Eq. 8 pass: calibrate + de-periodicise every tag's phase series.  A
-    # separate pass so the tracer sees the unwrap stage as its own span
-    # (nested under the pipeline's `suppression` span).
-    with get_tracer().span("unwrap") as sp:
-        residuals: Dict[int, np.ndarray] = {
-            idx: calibration.residual_series(idx, series.phases)
-            for idx, series in per_tag.items()
-            if idx in calibration.tags and len(series) >= 2
-        }
-        sp.set(tags=len(residuals))
-
-    for idx, series in per_tag.items():
-        if idx not in calibration.tags:
-            continue  # a stray tag outside the calibrated pad
-        counts[idx] = len(series)
-        if len(series) < 2:
-            raw[idx] = 0.0
-            suppressed[idx] = 0.0
-            continue
-        # Raw variant (the naive Eq. 5 the paper starts from, Fig. 7a): the
-        # accumulative difference of the *wrapped* reports with uniform
-        # weights and no per-sample normalisation.  Tags whose central
-        # phase sits near the 0/2*pi boundary flicker across it under
-        # noise and rack up spurious ~2*pi steps — this is precisely the
-        # tag-diversity artefact that de-periodicity + calibration remove.
-        raw[idx] = total_variation(series.phases)
-
-        tv = total_variation(residuals[idx])
-        if per_sample:
-            tv /= max(1, len(series) - 1)
-        suppressed[idx] = tv / weights[idx] if bias_weighting else tv
-
-    # Calibrated tags that were never read in the window: zero by definition.
-    for idx in calibration.tag_indices():
-        raw.setdefault(idx, 0.0)
-        suppressed.setdefault(idx, 0.0)
-        counts.setdefault(idx, 0)
-
-    return SuppressionResult(raw=raw, suppressed=suppressed, read_counts=counts)
+    block = WindowBlock.from_log(log, calibration.table, t0, t1)
+    unread = np.setdiff1d(calibration.table.ids, block.ids)
+    keys = np.concatenate((block.ids, unread)).tolist()
+    zeros = np.zeros(unread.size)
+    raw = np.concatenate((raw_rows(block), zeros))
+    suppressed = np.concatenate((suppression_rows(block, per_sample, bias_weighting), zeros))
+    counts = np.concatenate((block.counts, zeros.astype(np.int64)))
+    return SuppressionResult(
+        raw=dict(zip(keys, raw.tolist())),
+        suppressed=dict(zip(keys, suppressed.tolist())),
+        read_counts=dict(zip(keys, counts.tolist())),
+    )
 
 
 def disturbance_score(result: SuppressionResult) -> float:

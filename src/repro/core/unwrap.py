@@ -13,11 +13,12 @@ are pinned by our tests.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..units import TWO_PI
+from .window import row_sums
 
 
 def fold_to_pi(delta: float) -> float:
@@ -38,12 +39,33 @@ def fold_to_pi_many(deltas: "np.ndarray") -> np.ndarray:
     return np.where(folded <= 0.0, folded + TWO_PI, folded) - math.pi
 
 
+def unwrap_rows(phases: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`unwrap` of a (rows, samples) block.
+
+    Each row is ``np.add.accumulate`` over ``[p0, fold(p1 - p0),
+    fold(p2 - p1), ...]``.  accumulate adds strictly left to right, so
+    every sample gets the same sequential sums as unwrapping the row on
+    its own: the first sample is kept and each later one moves by the
+    folded step from its predecessor.  Columns past a row's own length
+    (zero padding of a :class:`~repro.core.window.WindowBlock`) come out
+    as meaningless values that callers must not read.
+    """
+    arr = np.asarray(phases, dtype=float)
+    if arr.shape[1] < 2:
+        return arr.copy()
+    steps = np.empty_like(arr)
+    steps[:, 0] = arr[:, 0]
+    steps[:, 1:] = fold_to_pi_many(arr[:, 1:] - arr[:, :-1])
+    return np.add.accumulate(steps, axis=1)
+
+
 def unwrap(phases: Sequence[float]) -> np.ndarray:
     """Unwrap a wrapped phase sequence into a continuous trend.
 
     The first sample is kept as-is; every subsequent sample moves by the
     folded difference from its predecessor, so the output never jumps by
-    more than pi between samples.
+    more than pi between samples.  This is the one-row case of
+    :func:`unwrap_rows`, which the window analysis runs on whole blocks.
 
     >>> import numpy as np
     >>> out = unwrap([6.2, 0.1, 0.3])
@@ -53,18 +75,7 @@ def unwrap(phases: Sequence[float]) -> np.ndarray:
     arr = np.asarray(phases, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D sequence, got shape {arr.shape}")
-    if arr.size == 0:
-        return arr.copy()
-    out = np.empty_like(arr)
-    out[0] = arr[0]
-    prev_wrapped = arr[0]
-    prev_out = arr[0]
-    for i in range(1, arr.size):
-        delta = fold_to_pi(arr[i] - prev_wrapped)
-        prev_out = prev_out + delta
-        out[i] = prev_out
-        prev_wrapped = arr[i]
-    return out
+    return unwrap_rows(arr[None, :])[0]
 
 
 def unwrap_residual(phases: Sequence[float], reference: float) -> np.ndarray:
@@ -80,13 +91,23 @@ def unwrap_residual(phases: Sequence[float], reference: float) -> np.ndarray:
     return unwrap(residual)
 
 
+def variation_rows(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row-wise total variation: each row's sum of absolute successive
+    differences over its first ``counts[r]`` values (0 below 2 values),
+    added in numpy's ``sum`` order by :func:`~repro.core.window.row_sums`.
+    """
+    arr = np.asarray(values, dtype=float)
+    steps = np.maximum(np.asarray(counts, dtype=np.int64) - 1, 0)
+    if arr.shape[1] < 2:
+        return np.zeros(arr.shape[0])
+    return row_sums(np.abs(arr[:, 1:] - arr[:, :-1]), steps)
+
+
 def total_variation(values: Sequence[float]) -> float:
     """Sum of absolute successive differences — the 'accumulative phase
-    difference' primitive of Eq. 5/10."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        return 0.0
-    return float(np.abs(np.diff(arr)).sum())
+    difference' primitive of Eq. 5/10 (one row of :func:`variation_rows`)."""
+    arr = np.asarray(values, dtype=float).ravel()
+    return float(variation_rows(arr[None, :], [arr.size])[0])
 
 
 def largest_jump(phases: Sequence[float]) -> float:

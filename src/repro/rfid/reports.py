@@ -63,9 +63,14 @@ class TagSeries:
         )
 
 
-_EMPTY_F = np.empty(0, dtype=float)
-_EMPTY_I = np.empty(0, dtype=np.int64)
-_EMPTY_O = np.empty(0, dtype=object)
+#: Column dtypes, in ``columns()`` order: ts, tag, phase, rss, doppler,
+#: antenna port, EPC.
+_DTYPES = (float, np.int64, float, float, float, np.int64, object)
+_EMPTY = tuple(np.empty(0, dtype=dt) for dt in _DTYPES)
+#: Smallest buffer a log grows or compacts into, in reads: below this a
+#: rolling log (a stream buffer, a watermark merge) would reallocate on
+#: nearly every chunk.
+_MIN_CAPACITY = 256
 
 
 class ReportLog:
@@ -78,22 +83,36 @@ class ReportLog:
     Storage is columnar; single-row ``append`` goes to Python staging
     lists and is consolidated into the numpy columns on first read, so
     both bulk (``extend_columns``) and row-at-a-time producers stay cheap.
+
+    The seven columns live in buffers with an explicitly tracked spare
+    capacity.  Appends write past the live end.  A log's first fill is
+    sized exactly (most logs are filled once, by a collect); after that a
+    full buffer is replaced by a fresh one of twice the live reads plus the
+    append (at least ``_MIN_CAPACITY``), so a stream of small appends costs
+    amortized O(1) per read instead of a copy of the whole log.
+    :meth:`drop_before` only advances the live start; once the dead prefix
+    outgrows both the live part and ``_MIN_CAPACITY``, the live reads move
+    to fresh buffers, which releases the dropped memory and keeps the log
+    within twice its live size plus a chunk, or ``_MIN_CAPACITY`` reads
+    (the retention bound of DESIGN.md §11).  Views handed out
+    (:meth:`columns`, :meth:`slice_time`, :meth:`per_tag`, view-backed logs)
+    never see a later write: appends only fill positions no view covers,
+    reordering and compaction always allocate new buffers, and a
+    view-backed log starts with no spare capacity, so its first append
+    moves it to buffers of its own.
     """
 
     __slots__ = (
-        "_ts", "_tag", "_phase", "_rss", "_dopp", "_port", "_epc",
+        "_buf", "_cap", "_lo", "_hi",
         "_p_ts", "_p_tag", "_p_phase", "_p_rss", "_p_dopp", "_p_port",
         "_p_epc", "_sorted", "_last_ts",
     )
 
     def __init__(self, reports: Iterable[TagReadReport] = ()) -> None:
-        self._ts = _EMPTY_F
-        self._tag = _EMPTY_I
-        self._phase = _EMPTY_F
-        self._rss = _EMPTY_F
-        self._dopp = _EMPTY_F
-        self._port = _EMPTY_I
-        self._epc = _EMPTY_O
+        self._buf = _EMPTY
+        self._cap = 0   # reads the buffers can hold
+        self._lo = 0    # live reads are buffer rows [_lo, _hi)
+        self._hi = 0
         self._p_ts: List[float] = []
         self._p_tag: List[int] = []
         self._p_phase: List[float] = []
@@ -148,44 +167,57 @@ class ReportLog:
         if self._sorted:
             if self._last_ts is not None and float(ts[0]) < self._last_ts:
                 self._sorted = False
-            elif n > 1 and bool(np.any(np.diff(ts) < 0.0)):
+            elif n > 1 and bool((ts[1:] < ts[:-1]).any()):
                 self._sorted = False
         self._last_ts = float(ts[-1])
-        self._ts = np.concatenate([self._ts, ts])
-        self._tag = np.concatenate(
-            [self._tag, np.asarray(tag_indices, dtype=np.int64)])
-        self._phase = np.concatenate(
-            [self._phase, np.asarray(phases, dtype=float)])
-        self._rss = np.concatenate([self._rss, np.asarray(rss, dtype=float)])
-        self._dopp = np.concatenate(
-            [self._dopp, np.asarray(doppler, dtype=float)])
-        self._port = np.concatenate(
-            [self._port, np.full(n, antenna_port, dtype=np.int64)])
-        epc_arr = np.empty(n, dtype=object)
-        epc_arr[:] = list(epcs)
-        self._epc = np.concatenate([self._epc, epc_arr])
+        self._write(ts, tag_indices, phases, rss, doppler, antenna_port, epcs)
 
     # -- internal ---------------------------------------------------------
+
+    def _live(self) -> tuple:
+        """Views of the live rows of all seven columns."""
+        lo, hi = self._lo, self._hi
+        ts, tag, phase, rss, dopp, port, epc = self._buf
+        return (ts[lo:hi], tag[lo:hi], phase[lo:hi], rss[lo:hi], dopp[lo:hi],
+                port[lo:hi], epc[lo:hi])
+
+    def _realloc(self, capacity: int) -> None:
+        """Move the live rows to fresh buffers of ``capacity`` rows."""
+        live = self._hi - self._lo
+        fresh = []
+        for col, dtype in zip(self._live(), _DTYPES):
+            buf = np.empty(capacity, dtype=dtype)
+            buf[:live] = col
+            fresh.append(buf)
+        self._buf = tuple(fresh)
+        self._cap = capacity
+        self._lo, self._hi = 0, live
+
+    def _write(self, ts, tag, phase, rss, dopp, port, epc) -> None:
+        """Append ``len(ts)`` rows past the live end (``port`` may be a
+        scalar)."""
+        n = len(ts)
+        if self._hi + n > self._cap:
+            live = self._hi - self._lo
+            self._realloc(
+                live + n if self._cap == 0 else max(2 * (live + n), _MIN_CAPACITY)
+            )
+        hi = self._hi
+        rows = slice(hi, hi + n)
+        if not isinstance(epc, np.ndarray):
+            epc = list(epc)
+        for buf, col in zip(self._buf, (ts, tag, phase, rss, dopp, port, epc)):
+            buf[rows] = col
+        self._hi = hi + n
 
     def _flush(self) -> None:
         """Consolidate staged single-row appends into the columns."""
         if not self._p_ts:
             return
-        self._ts = np.concatenate(
-            [self._ts, np.asarray(self._p_ts, dtype=float)])
-        self._tag = np.concatenate(
-            [self._tag, np.asarray(self._p_tag, dtype=np.int64)])
-        self._phase = np.concatenate(
-            [self._phase, np.asarray(self._p_phase, dtype=float)])
-        self._rss = np.concatenate(
-            [self._rss, np.asarray(self._p_rss, dtype=float)])
-        self._dopp = np.concatenate(
-            [self._dopp, np.asarray(self._p_dopp, dtype=float)])
-        self._port = np.concatenate(
-            [self._port, np.asarray(self._p_port, dtype=np.int64)])
-        epc_arr = np.empty(len(self._p_epc), dtype=object)
-        epc_arr[:] = self._p_epc
-        self._epc = np.concatenate([self._epc, epc_arr])
+        self._write(
+            self._p_ts, self._p_tag, self._p_phase, self._p_rss,
+            self._p_dopp, self._p_port, self._p_epc,
+        )
         self._p_ts = []
         self._p_tag = []
         self._p_phase = []
@@ -197,16 +229,17 @@ class ReportLog:
     def _ensure_sorted(self) -> None:
         self._flush()
         if not self._sorted:
-            # Stable sort on timestamp, matching list.sort(key=timestamp).
-            order = np.argsort(self._ts, kind="stable")
-            self._ts = self._ts[order]
-            self._tag = self._tag[order]
-            self._phase = self._phase[order]
-            self._rss = self._rss[order]
-            self._dopp = self._dopp[order]
-            self._port = self._port[order]
-            self._epc = self._epc[order]
+            # Stable sort on timestamp, matching list.sort(key=timestamp),
+            # into fresh buffers: views already handed out keep their rows.
+            live = self._live()
+            order = np.argsort(live[0], kind="stable")
+            self._buf = tuple(col[order] for col in live)
+            self._lo, self._hi = 0, order.size
+            self._cap = order.size
             self._sorted = True
+            # Later appends must compare against the newest read, which is
+            # no longer the last one appended.
+            self._last_ts = float(self._buf[0][-1])
 
     @classmethod
     def _from_columns(
@@ -219,46 +252,47 @@ class ReportLog:
         port: np.ndarray,
         epc: np.ndarray,
     ) -> "ReportLog":
-        """View-backed log over already-sorted column slices (no copy)."""
+        """View-backed log over already-sorted column slices (no copy).
+
+        The log's capacity is exactly its length, so it never writes into
+        the arrays it was given.
+        """
         log = cls()
-        log._ts = ts
-        log._tag = tag
-        log._phase = phase
-        log._rss = rss
-        log._dopp = dopp
-        log._port = port
-        log._epc = epc
+        log._buf = (ts, tag, phase, rss, dopp, port, epc)
+        log._cap = log._hi = ts.size
         log._last_ts = float(ts[-1]) if ts.size else None
         return log
 
     def _row(self, i: int) -> TagReadReport:
+        j = self._lo + i
+        ts, tag, phase, rss, dopp, port, epc = self._buf
         return TagReadReport(
-            epc=self._epc[i],
-            tag_index=int(self._tag[i]),
-            timestamp=float(self._ts[i]),
-            phase_rad=float(self._phase[i]),
-            rss_dbm=float(self._rss[i]),
-            doppler_hz=float(self._dopp[i]),
-            antenna_port=int(self._port[i]),
+            epc=epc[j],
+            tag_index=int(tag[j]),
+            timestamp=float(ts[j]),
+            phase_rad=float(phase[j]),
+            rss_dbm=float(rss[j]),
+            doppler_hz=float(dopp[j]),
+            antenna_port=int(port[j]),
         )
 
     # -- consumers --------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._ts.size + len(self._p_ts)
+        return self._hi - self._lo + len(self._p_ts)
 
     def __iter__(self) -> Iterator[TagReadReport]:
         self._ensure_sorted()
-        for i in range(self._ts.size):
+        for i in range(self._hi - self._lo):
             yield self._row(i)
 
     def __getitem__(
         self, i: Union[int, slice]
     ) -> Union[TagReadReport, List[TagReadReport]]:
         self._ensure_sorted()
+        n = self._hi - self._lo
         if isinstance(i, slice):
-            return [self._row(j) for j in range(*i.indices(self._ts.size))]
-        n = self._ts.size
+            return [self._row(j) for j in range(*i.indices(n))]
         if i < 0:
             i += n
         if not 0 <= i < n:
@@ -269,37 +303,38 @@ class ReportLog:
     def timestamps(self) -> np.ndarray:
         """Sorted timestamp column (read-only view for bulk consumers)."""
         self._ensure_sorted()
-        return self._ts
+        return self._buf[0][self._lo:self._hi]
 
     @property
     def duration(self) -> float:
         """Time span covered by the log (0 for empty/single-read logs)."""
         self._ensure_sorted()
-        if self._ts.size < 2:
+        if self._hi - self._lo < 2:
             return 0.0
-        return float(self._ts[-1] - self._ts[0])
+        ts = self._buf[0]
+        return float(ts[self._hi - 1] - ts[self._lo])
 
     @property
     def start_time(self) -> float:
         self._ensure_sorted()
-        if not self._ts.size:
+        if self._hi == self._lo:
             raise ValueError("empty report log has no start time")
-        return float(self._ts[0])
+        return float(self._buf[0][self._lo])
 
     @property
     def end_time(self) -> float:
         self._ensure_sorted()
-        if not self._ts.size:
+        if self._hi == self._lo:
             raise ValueError("empty report log has no end time")
-        return float(self._ts[-1])
+        return float(self._buf[0][self._hi - 1])
 
     def tag_indices(self) -> List[int]:
         self._flush()
-        return [int(v) for v in np.unique(self._tag)]
+        return [int(v) for v in np.unique(self._buf[1][self._lo:self._hi])]
 
     def read_count(self, tag_index: int) -> int:
         self._flush()
-        return int(np.count_nonzero(self._tag == tag_index))
+        return int(np.count_nonzero(self._buf[1][self._lo:self._hi] == tag_index))
 
     def per_tag(self) -> Dict[int, TagSeries]:
         """Split the log into per-tag numpy series.
@@ -309,18 +344,19 @@ class ReportLog:
         """
         self._ensure_sorted()
         out: Dict[int, TagSeries] = {}
-        if not self._ts.size:
+        if self._hi == self._lo:
             return out
-        uniq, first = np.unique(self._tag, return_index=True)
+        ts, tags, phase, rss, _, _, epc = self._live()
+        uniq, first = np.unique(tags, return_index=True)
         for k in np.argsort(first, kind="stable"):
             idx = int(uniq[k])
-            mask = self._tag == idx
+            mask = tags == idx
             out[idx] = TagSeries(
                 tag_index=idx,
-                epc=self._epc[int(first[k])],
-                timestamps=self._ts[mask],
-                phases=self._phase[mask],
-                rss=self._rss[mask],
+                epc=epc[int(first[k])],
+                timestamps=ts[mask],
+                phases=phase[mask],
+                rss=rss[mask],
             )
         return out
 
@@ -329,42 +365,36 @@ class ReportLog:
         epc)`` — the bulk hand-off format for streaming consumers (pair
         with :meth:`extend_columns` on the receiving log)."""
         self._ensure_sorted()
-        return (self._ts, self._tag, self._phase, self._rss, self._dopp,
-                self._port, self._epc)
+        return self._live()
 
     def drop_before(self, t: float) -> int:
         """Discard all reports with ``timestamp < t``; returns the count.
 
-        Copies the surviving columns so the dropped prefix's memory is
-        actually released (a plain slice would keep the base arrays
-        alive), which is what bounded-retention streaming needs.
+        Advances the live start; once the dropped prefix outgrows the live
+        part (and ``_MIN_CAPACITY``), the live reads move to fresh buffers
+        so the dropped memory is released (bounded-retention streaming
+        relies on this).
         """
         self._ensure_sorted()
-        lo = int(np.searchsorted(self._ts, t, side="left"))
-        if lo == 0:
+        k = int(self._buf[0][self._lo:self._hi].searchsorted(t, side="left"))
+        if k == 0:
             return 0
-        self._ts = np.array(self._ts[lo:])
-        self._tag = np.array(self._tag[lo:])
-        self._phase = np.array(self._phase[lo:])
-        self._rss = np.array(self._rss[lo:])
-        self._dopp = np.array(self._dopp[lo:])
-        self._port = np.array(self._port[lo:])
-        self._epc = np.array(self._epc[lo:])
-        return lo
+        self._lo += k
+        live = self._hi - self._lo
+        if self._lo > max(live, _MIN_CAPACITY):
+            self._realloc(max(2 * live, _MIN_CAPACITY))
+        return k
 
     def slice_time(self, t0: float, t1: float) -> "ReportLog":
         """New log with reports in [t0, t1) — a view, not a copy."""
         self._ensure_sorted()
-        lo = int(np.searchsorted(self._ts, t0, side="left"))
-        hi = int(np.searchsorted(self._ts, t1, side="left"))
+        live_ts = self._buf[0][self._lo:self._hi]
+        lo = self._lo + int(live_ts.searchsorted(t0, side="left"))
+        hi = self._lo + int(live_ts.searchsorted(t1, side="left"))
+        ts, tag, phase, rss, dopp, port, epc = self._buf
         return ReportLog._from_columns(
-            self._ts[lo:hi],
-            self._tag[lo:hi],
-            self._phase[lo:hi],
-            self._rss[lo:hi],
-            self._dopp[lo:hi],
-            self._port[lo:hi],
-            self._epc[lo:hi],
+            ts[lo:hi], tag[lo:hi], phase[lo:hi], rss[lo:hi], dopp[lo:hi],
+            port[lo:hi], epc[lo:hi],
         )
 
     def aggregate_read_rate(self) -> float:

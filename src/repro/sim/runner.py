@@ -375,6 +375,10 @@ class WorkspaceRunner:
     across tiles, and the pipeline is calibrated against the *combined*
     layout.  For a 1x1 workspace every log this runner produces is
     bit-identical to ``SessionRunner`` over ``build_scenario(base)``.
+
+    ``calibration_duration`` is the static capture of a one- or two-tile
+    workspace; larger workspaces capture ``tile_count / 2`` times longer,
+    so every tile gets at least ``calibration_duration / 2`` of reads.
     """
 
     def __init__(
@@ -387,7 +391,12 @@ class WorkspaceRunner:
 
         self.workspace = workspace if workspace is not None else build_workspace()
         self.pad = RFIPad(self.workspace.combined_layout, config=pipeline_config)
-        static = self.workspace.collect_static(calibration_duration)
+        # The multiplexed reader serves one tile at a time, so each tile
+        # sees only its share of the capture.  Lengthen the capture beyond
+        # two tiles so that no tile gets less than a 2x1 tile's half of
+        # ``calibration_duration``; 1x1 and 2x1 capture exactly that long.
+        scale = max(1.0, self.workspace.tile_count / 2.0)
+        static = self.workspace.collect_static(calibration_duration * scale)
         self.pad.calibrate_from(static)
         self.static_log = static
 

@@ -163,3 +163,38 @@ def test_stable_order_for_equal_timestamps():
     assert [(r.tag_index, r.phase_rad) for r in log] == [
         (1, 1.0), (3, 0.1), (4, 0.2)
     ]
+
+
+def test_append_after_reading_an_unsorted_log_stays_sorted():
+    # Reading sorts the columns; the next append must be checked against
+    # the newest read (5.0), not the last one appended (3.0).
+    def block(ts):
+        n = len(ts)
+        return (np.array(ts), np.arange(n), np.zeros(n), np.zeros(n), np.zeros(n),
+                ["E"] * n)
+
+    log = ReportLog()
+    log.extend_columns(*block([5.0, 3.0]))
+    assert log.columns()[0].tolist() == [3.0, 5.0]
+    log.extend_columns(*block([4.0]))
+    assert log.columns()[0].tolist() == [3.0, 4.0, 5.0]
+
+
+def test_drop_before_releases_the_dropped_prefix():
+    log = ReportLog()
+    for k in range(50):
+        ts = np.linspace(k, k + 0.99, 100)
+        log.extend_columns(ts, np.zeros(100, dtype=np.int64), ts, ts, ts, ["E"] * 100)
+        log.drop_before(k - 2.0)
+    # 300 live reads out of 5000 appended; the buffers hold at most twice
+    # the live reads plus the last chunk.
+    assert len(log) == 300
+    assert log.columns()[0][0] == 47.0
+    assert log.columns()[0].base.size <= 2 * (len(log) + 100)
+
+
+def test_one_bulk_append_is_sized_exactly():
+    ts = np.linspace(0.0, 1.0, 500)
+    log = ReportLog()
+    log.extend_columns(ts, np.zeros(500, dtype=np.int64), ts, ts, ts, ["E"] * 500)
+    assert log.columns()[0].base.size == 500

@@ -175,3 +175,21 @@ def test_workspace_tile_count_and_rng(ws_runner_2x1):
     ws = ws_runner_2x1.workspace
     assert ws.tile_count == 2
     assert ws.rng is ws.tiles[0].rng
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_2x2_calibrates_every_tile(seed):
+    # A 3 s capture gives each 2x2 tile 0.75 s, and on these seeds one tag
+    # fewer than calibrate's 5 static reads; the runner lengthens a 2x2
+    # capture so every tile gets a 2x1 tile's 1.5 s.
+    runner = WorkspaceRunner(
+        build_workspace(
+            WorkspaceConfig(base=ScenarioConfig(seed=seed), tiles_x=2, tiles_y=2)
+        )
+    )
+    assert len(runner.pad.calibration.tags) == 4 * 25
+    assert runner.static_log.end_time > 5.5  # 4 tiles x 1.5 s
+
+
+def test_2x1_calibration_capture_stays_3s(ws_runner_2x1):
+    assert ws_runner_2x1.static_log.end_time < 3.5  # a 2x1 workspace captures 3 s
