@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
-# Hot-path performance benchmark: times the standard motion+letter battery
-# on the vectorized engine vs the scalar reference path and appends a
-# trajectory entry to BENCH_pipeline.json (wall times, speedup, reads/sec,
-# trials/sec, per-stage p95 from the tracer).
+# Hot-path performance benchmark: times the standard motion+letter battery,
+# serial and on worker pools, and appends a trajectory entry to
+# BENCH_pipeline.json (wall times, reads/sec, trials/sec, per-stage p95
+# from the tracer).
 #
 #   sh scripts/bench.sh            # full measurement (best-of-3 rounds)
 #   REPRO_BENCH_SMOKE=1 sh scripts/bench.sh   # tiny smoke workload
@@ -21,8 +21,7 @@ import json
 with open("BENCH_pipeline.json", encoding="utf-8") as fh:
     doc = json.load(fh)
 entry = doc["entries"][-1]
-for key in ("timestamp", "commit", "engine_wall_s", "scalar_wall_s",
-            "speedup_engine_vs_scalar", "speedup_vs_pre_pr_baseline",
+for key in ("timestamp", "commit", "engine_wall_s", "speedup_vs_pre_pr_baseline",
             "reads_per_s", "slots_per_s", "trials_per_s",
             "serial_trials_per_s", "parallel_trials_per_s_workers2",
             "parallel_trials_per_s_workers4", "parallel_speedup_workers4",

@@ -61,6 +61,7 @@ __all__ = [
     "RFIPad",
     "RFIPadConfig",
     "Reader",
+    "ReaderAntenna",
     "ReaderConfig",
     "ReportLog",
     "ScenarioConfig",

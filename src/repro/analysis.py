@@ -7,7 +7,7 @@ sees without a plotting stack (the repo is matplotlib-free by design).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 

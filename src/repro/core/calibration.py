@@ -18,11 +18,10 @@ boundary would otherwise produce garbage means.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Mapping, Optional
+from typing import Dict
 
 import numpy as np
 

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
-from ..motion.strokes import ArcOpening, Direction, StrokeKind
+from ..motion.strokes import ArcOpening, StrokeKind
 from .direction import TroughPath
 from .features import ShapeFeatures, extract_features, opening_quadrant
 from .imaging import BinaryMap, GreyMap

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..motion.strokes import ArcOpening, Direction, StrokeKind
 from .features import ShapeFeatures

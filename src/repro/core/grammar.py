@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..motion.letters import LETTER_STROKES, StrokeSpec
-from ..motion.strokes import ArcOpening, StrokeKind, stroke_skeleton
+from ..motion.strokes import ArcOpening, StrokeKind
 from .events import LetterResult, SegmentedWindow, StrokeObservation
 
 

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..motion.letters import LETTER_STROKES, StrokeSpec, stroke_count
+from ..motion.letters import LETTER_STROKES, stroke_count
 from ..physics.geometry import GridLayout
 from .events import LetterResult, SegmentedWindow, StrokeObservation
 from .grammar import TreeGrammar, _spec_polyline

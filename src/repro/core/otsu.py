@@ -11,11 +11,10 @@ extension experiments.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..physics.geometry import GridLayout
 from .imaging import BinaryMap, GreyMap
 
 #: Relative margin by which a later split's between-class variance must

@@ -22,10 +22,9 @@ import numpy as np
 from ..core.imaging import render_grey_map
 from ..core.otsu import binarize, binarize_fixed
 from ..core.pipeline import RFIPadConfig
-from ..core.segmentation import SegmentationConfig
 from ..core.suppression import accumulative_differences
 from ..core.unwrap import unwrap_residual
-from ..motion.script import script_for_letter, script_for_motion
+from ..motion.script import script_for_motion
 from ..motion.strokes import Direction, Motion, StrokeKind, all_motions
 from ..sim.metrics import merge_segmentation_scores, score_motion_trials, score_segmentation
 from ..sim.runner import SessionRunner

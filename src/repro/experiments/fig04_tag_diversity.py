@@ -9,8 +9,6 @@ i.e. calibration is *necessary*, one global offset cannot fix them all.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..core.calibration import calibrate, circular_std

@@ -14,7 +14,6 @@ from ..rfid.deployment import deploy_array
 from ..rfid.reader import Reader, ReaderConfig
 from ..physics.antenna import ReaderAntenna
 from ..physics.geometry import GridLayout
-from ..units import watts_to_dbm_floor
 from .base import ExperimentResult, register
 
 import numpy as np

@@ -8,12 +8,7 @@ design B only ~2 dB.
 
 from __future__ import annotations
 
-from ..physics.coupling import (
-    ALL_DESIGNS,
-    TAG_DESIGN_B,
-    TAG_DESIGN_D,
-    aggregate_shadow_loss_db,
-)
+from ..physics.coupling import ALL_DESIGNS, TAG_DESIGN_D, aggregate_shadow_loss_db
 from ..physics.geometry import GridLayout, Vec3
 from .base import ExperimentResult, register
 

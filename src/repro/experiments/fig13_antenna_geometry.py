@@ -18,7 +18,7 @@ from ..physics.antenna import (
     plane_side_for_grid,
 )
 from ..physics.geometry import Vec3
-from ..units import db_to_linear, linear_to_db
+from ..units import linear_to_db
 from .base import ExperimentResult, register
 
 

@@ -7,8 +7,6 @@ location #4 (paper: 75% -> 93% there).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.pipeline import RFIPadConfig
 from ..motion.strokes import all_motions
 from ..sim.metrics import score_motion_trials

@@ -7,8 +7,6 @@ accuracy decreases as the tilt grows (uneven beam coverage).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..motion.strokes import Direction, Motion, StrokeKind
 from ..sim.metrics import score_motion_trials
 from ..sim.runner import SessionRunner

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..motion.strokes import Direction, Motion, StrokeKind
-from ..sim.metrics import empirical_cdf, percentile
+from ..motion.strokes import Motion, StrokeKind
+from ..sim.metrics import percentile
 from ..sim.runner import SessionRunner
 from ..sim.scenario import ScenarioConfig, build_scenario
 from .base import ExperimentResult, register

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..motion.kinect import KinectSimulator, trajectory_deviation
 from ..motion.script import script_for_letter
-from ..physics.geometry import Vec3
 from ..sim.runner import SessionRunner
 from ..sim.scenario import ScenarioConfig, build_scenario
 from .base import ExperimentResult, register

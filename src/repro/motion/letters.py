@@ -20,7 +20,7 @@ information.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .strokes import ArcOpening, Direction, StrokeKind
 

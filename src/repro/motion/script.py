@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,10 +21,7 @@ from ..physics.geometry import Vec3
 from ..physics.hand import HandPose, PoseTrack
 from .letters import LETTER_STROKES, StrokeSpec
 from .strokes import (
-    ArcOpening,
-    Direction,
     Motion,
-    StrokeKind,
     StrokeTrace,
     TimedPoint,
     generate_line_between,

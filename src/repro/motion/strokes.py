@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

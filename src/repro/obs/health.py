@@ -46,7 +46,7 @@ rule fails — which is what lets ``scripts/check.sh`` gate on them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from .log import get_logger

@@ -1,4 +1,4 @@
-"""Vectorized channel engine: the batched counterpart of ChannelModel.
+"""Vectorized channel engine: the production evaluation of Eqs. 1-8.
 
 :class:`ChannelModel` evaluates the coherent ray sum (Eqs. 1-8) one tag at
 a time in scalar Python — the right shape for tests and for reasoning, but
@@ -15,35 +15,36 @@ terms (scatterer hops, near-field shadow, LOS occlusion factors).
 
 Contract with the scalar reference
 ----------------------------------
-``ChannelModel`` stays the reference implementation.  The engine promises:
+``ChannelModel`` stays the reference implementation, and the engine's
+static amplitudes come from its own helpers.  The engine has two paths:
 
-* :meth:`one_way_batch` / :meth:`roundtrip_batch` / :meth:`detuning_phase_batch`
-  match the per-tag scalar results to <= 1e-9 relative error (cross-checked
-  by ``tests/physics/test_channel_vec.py`` on randomized geometries);
-* :meth:`one_way_single` — the per-read slot path — is **bit-identical** to
-  ``ChannelModel.one_way``: it reuses the scalar model's amplitude helpers
-  and replicates its operation order exactly, only substituting cached
-  static geometry for recomputed geometry.  This is what lets the reader
-  keep bit-identical ReportLogs across the scalar/vector switch.
+* :meth:`scene_powers` / :meth:`scene_powers_trials` — per-round
+  readability over the whole array.  They repeat the elementwise
+  operations of the whole-population batch reference kept with the tests
+  (``tests/physics/channel_oracles.py``), bit for bit, and that reference
+  matches ``ChannelModel`` to <= 1e-9 relative error;
+* :meth:`backscatter_rows` — the per-read roundtrip of every successful
+  slot, **bit-identical** row by row to ``ChannelModel.roundtrip`` on the
+  read's fluttered reflector images, plus ``detuning_phase_rad``.
 
 The cache binds to the antenna pose, wavelength, tag positions/gains, and
 image-antenna positions at construction; none of these may change behind
 the engine's back (see DESIGN.md for the invalidation rules).  Reflection
-*coefficients* are per-call inputs (``gammas``), because environment
-flutter legitimately changes them between reads.
+*coefficients* are per-read inputs, because environment flutter
+legitimately changes them between reads.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..units import TWO_PI, db_to_linear
+from ..units import TWO_PI
 from .antenna import ReaderAntenna
-from .channel import ChannelModel, Scatterer, shadow_attenuation_db
+from .channel import ChannelModel
 from .geometry import Vec3
 from .hand import ARM_POINTS
 
@@ -65,12 +66,8 @@ class ChannelEngine:
     reflector_images:
         Static environment multipath as ``(image_position, coefficient)``
         pairs — the same input :class:`ChannelModel` takes.  The positions
-        are cached; the coefficients become the nominal (flutter-free)
-        ``gammas`` default.
-    occlusion_db:
-        Static extra attenuation on the direct path (the scalar model's
-        constructor knob); per-tag dynamic losses go through the
-        ``direct_extra_loss_db`` call argument instead.
+        are cached; the coefficients give the nominal (flutter-free)
+        reflector sum.
     """
 
     def __init__(
@@ -80,7 +77,6 @@ class ChannelEngine:
         tag_positions: Sequence[Vec3],
         tag_gains_linear: Sequence[float],
         reflector_images: Sequence[Tuple[Vec3, complex]] = (),
-        occlusion_db: float = 0.0,
     ) -> None:
         if wavelength <= 0.0:
             raise ValueError(f"wavelength must be positive, got {wavelength}")
@@ -88,9 +84,7 @@ class ChannelEngine:
             raise ValueError("tag_positions and tag_gains_linear must be index-aligned")
         if not tag_positions:
             raise ValueError("engine needs at least one tag")
-        self.antenna = antenna
         self.wavelength = wavelength
-        self.occlusion_db = occlusion_db
         self._ant_xyz = antenna.position.as_tuple()
         # Hot-loop constants: antenna pose/pattern as plain arrays, the
         # wavenumber, and the scatterer link-budget constant lambda^2/(4pi)^3.
@@ -101,53 +95,43 @@ class ChannelEngine:
         self._gain_linear = antenna._gain_linear
         self._neg_jk = -1j * TWO_PI / wavelength
         self._scatter_const = wavelength**2 / FOUR_PI**3
-        # The scalar reference provides the amplitude formulas; routing the
-        # single-tag path through its helpers is what makes bit-identity a
-        # structural property instead of a copy-paste discipline.
-        self._ref = ChannelModel(antenna, wavelength, reflector_images, occlusion_db)
+        # The scalar reference provides the amplitude formulas, so the
+        # static amplitudes are the reference's own values.
+        ref = ChannelModel(antenna, wavelength, reflector_images)
 
-        self._tag_positions: List[Vec3] = list(tag_positions)
         self.tag_positions_np = np.array([p.as_tuple() for p in tag_positions])
-        self._tag_gains: List[float] = [float(g) for g in tag_gains_linear]
-        self.tag_gains_np = np.array(self._tag_gains)
-        n = len(self._tag_positions)
+        gains = [float(g) for g in tag_gains_linear]
+        self.tag_gains_np = np.array(gains)
+        n = len(gains)
 
         # --- static geometry, computed once with the *scalar* formulas ----
-        d_direct: List[float] = []
         a_direct: List[float] = []
         exp_direct: List[complex] = []
-        for pos, gt in zip(self._tag_positions, self._tag_gains):
+        for pos, gt in zip(tag_positions, gains):
             d = antenna.position.distance_to(pos)
             gr = antenna.gain_towards(pos)
-            d_direct.append(d)
-            a_direct.append(self._ref._free_space_amplitude(gr, gt, d))
+            a_direct.append(ref._free_space_amplitude(gr, gt, d))
             exp_direct.append(cmath.exp(-1j * TWO_PI * d / wavelength))
-        self._d_direct = d_direct
-        self._a_direct = a_direct
-        self._exp_direct = exp_direct
-        self.d_direct_np = np.array(d_direct)
         self.a_direct_np = np.array(a_direct)
         self.exp_direct_np = np.array(exp_direct)
 
-        self.nominal_gammas: List[complex] = [g for _, g in reflector_images]
-        self._image_positions: List[Vec3] = [p for p, _ in reflector_images]
         d_img: List[List[float]] = []
         fs_img: List[List[float]] = []
-        for img_pos in self._image_positions:
-            d_row = [img_pos.distance_to(pos) for pos in self._tag_positions]
+        for img_pos, _ in reflector_images:
+            d_row = [img_pos.distance_to(pos) for pos in tag_positions]
             fs_row = [
-                self._ref._free_space_amplitude(antenna.gain_linear, gt, d)
-                for gt, d in zip(self._tag_gains, d_row)
+                ref._free_space_amplitude(antenna.gain_linear, gt, d)
+                for gt, d in zip(gains, d_row)
             ]
             d_img.append(d_row)
             fs_img.append(fs_row)
-        self._d_img = d_img
-        self._fs_img = fs_img
         self.d_img_np = np.array(d_img) if d_img else np.zeros((0, n))
         self.fs_img_np = np.array(fs_img) if fs_img else np.zeros((0, n))
 
         # The reflector sum for the nominal coefficients is itself static.
-        self._nominal_reflector_sum = self._reflector_sum(self.nominal_gammas)
+        self._nominal_reflector_sum = self._reflector_sum(
+            [g for _, g in reflector_images]
+        )
 
         # Engine-level counters, drained into the metrics registry by the
         # reader after each inventory window (plain int increments on the
@@ -157,15 +141,15 @@ class ChannelEngine:
         self.tags_evaluated = 0
 
     def __len__(self) -> int:
-        return len(self._tag_positions)
+        return len(self.tag_positions_np)
 
     # ------------------------------------------------------------------
-    # Batched evaluation (numpy; <= 1e-9 relative vs the scalar model)
+    # Whole-population readability (numpy)
     # ------------------------------------------------------------------
 
     def _reflector_sum(self, gammas: Sequence[complex]) -> np.ndarray:
         """Coherent sum of all image-antenna rays, per tag: (N,) complex."""
-        total = np.zeros(len(self._tag_positions), dtype=complex)
+        total = np.zeros(len(self.tag_positions_np), dtype=complex)
         for j, gamma in enumerate(gammas):
             amp = abs(gamma) * self.fs_img_np[j]
             # The reflection coefficient's phase folds into an equivalent
@@ -177,127 +161,27 @@ class ChannelEngine:
     def _direct_loss_factor(
         self, direct_extra_loss_db: "np.ndarray | float | None"
     ) -> "np.ndarray | float":
-        loss = self.occlusion_db + (
-            0.0 if direct_extra_loss_db is None else np.asarray(direct_extra_loss_db)
-        )
+        if direct_extra_loss_db is None:
+            return 1.0
+        loss = np.asarray(direct_extra_loss_db)
         return np.where(loss > 0.0, 10.0 ** (-loss / 20.0), 1.0)
-
-    def shadow_attenuation_db_batch(self, scatterers: Iterable[Scatterer]) -> np.ndarray:
-        """Per-tag near-field blockage (dB), vectorized over tags."""
-        total = np.zeros(len(self._tag_positions))
-        p = self.tag_positions_np
-        for sc in scatterers:
-            if sc.shadow_depth_db <= 0.0:
-                continue
-            lateral = np.hypot(sc.position.x - p[:, 0], sc.position.y - p[:, 1])
-            vertical = np.abs(sc.position.z - p[:, 2])
-            total += sc.shadow_depth_db * np.exp(
-                -0.5 * (lateral / sc.shadow_lateral_scale) ** 2
-                - 0.5 * (vertical / sc.shadow_vertical_scale) ** 2
-            )
-        return total
-
-    def detuning_phase_batch(self, scatterers: Iterable[Scatterer]) -> np.ndarray:
-        """Per-tag near-field resonance phase shift (radians)."""
-        total = np.zeros(len(self._tag_positions))
-        p = self.tag_positions_np
-        for sc in scatterers:
-            if sc.detune_rad == 0.0:
-                continue
-            lateral = np.hypot(sc.position.x - p[:, 0], sc.position.y - p[:, 1])
-            vertical = np.abs(sc.position.z - p[:, 2])
-            total += sc.detune_rad * np.exp(
-                -0.5 * (lateral / sc.detune_lateral_scale) ** 2
-                - 0.5 * (vertical / sc.detune_vertical_scale) ** 2
-            )
-        return total
 
     def static_base(
         self, direct_extra_loss_db: "np.ndarray | float | None" = None
     ) -> np.ndarray:
         """Precompute the direct + nominal-reflector sum for a fixed loss.
 
-        The result is valid as the ``base`` argument of :meth:`one_way_batch`
-        and :meth:`scene_powers` for any scene whose direct-path loss equals
-        ``direct_extra_loss_db`` and whose reflection coefficients are
-        nominal — i.e. the per-round readability checks of a deployment
-        whose only dynamics are the hand.  With the loss fixed for the
-        deployment's life it is cached once; an LOS reader recomputes it
-        per pose with the arm-occlusion loss added (the same operations
-        :meth:`one_way_batch` runs on a per-tag loss, so bit-identical).
+        ``direct_extra_loss_db`` is a scalar or per-tag ``(N,)`` vector of
+        extra direct-path losses (static coupling shadow + LOS occlusion).
+        The result is the ``base`` argument of :meth:`scene_powers` for any
+        scene whose direct-path loss equals it and whose reflection
+        coefficients are nominal — i.e. the per-round readability checks of
+        a deployment whose only dynamics are the hand.  With the loss fixed
+        for the deployment's life it is cached once; an LOS reader
+        recomputes it per pose with the arm-occlusion loss added.
         """
         g = self.a_direct_np * self._direct_loss_factor(direct_extra_loss_db) * self.exp_direct_np
         return g + self._nominal_reflector_sum
-
-    def one_way_batch(
-        self,
-        scatterers: Iterable[Scatterer] = (),
-        direct_extra_loss_db: "np.ndarray | float | None" = None,
-        gammas: Optional[Sequence[complex]] = None,
-        base: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Complex one-way channel g(reader -> tag) for every tag at once.
-
-        ``direct_extra_loss_db`` is a scalar or per-tag ``(N,)`` vector of
-        extra direct-path losses (static coupling shadow + LOS occlusion).
-        ``gammas`` overrides the nominal reflection coefficients (flutter);
-        ``None`` reuses the cached nominal reflector sum.  ``base`` is a
-        precomputed :meth:`static_base` result that replaces the direct and
-        reflector terms entirely (both loss and gamma arguments are then
-        ignored); callers own the coherence of that cache.
-        """
-        scs = list(scatterers)
-        self.batch_calls += 1
-        self.tags_evaluated += len(self._tag_positions)
-
-        if base is not None:
-            g = base
-        else:
-            g = (
-                self.a_direct_np
-                * self._direct_loss_factor(direct_extra_loss_db)
-                * self.exp_direct_np
-            )
-            g = g + (
-                self._nominal_reflector_sum if gammas is None else self._reflector_sum(gammas)
-            )
-
-        if scs:
-            # One (S, N) broadcast over all scatterer hops: tiny S (hand +
-            # arm points) but called every inventory round, so per-scatterer
-            # numpy dispatch overhead dominates the arithmetic otherwise.
-            # The antenna pattern is inlined (same direction-cosine formula
-            # as ReaderAntenna.gain_towards) to avoid re-deriving the
-            # antenna->scatterer geometry twice.
-            sc_pos = np.array([sc.position.as_tuple() for sc in scs])
-            sc_rcs = np.array([sc.rcs_m2 for sc in scs])
-            diff0 = sc_pos - self._ant_np
-            d1 = np.sqrt(np.einsum("ij,ij->i", diff0, diff0))
-            d1_safe = np.where(d1 > 0.0, d1, 1.0)
-            cos_t = np.clip((diff0 @ self._boresight_np) / d1_safe, -1.0, 1.0)
-            if self._pattern_n > 0.0:
-                pattern = np.maximum(
-                    np.maximum(cos_t, 0.0) ** self._pattern_n, self._back_lobe
-                )
-            else:
-                pattern = np.where(cos_t >= 0.0, 1.0, self._back_lobe)
-            gr_sc = self._gain_linear * pattern
-            diff = self.tag_positions_np[None, :, :] - sc_pos[:, None, :]
-            d2 = np.sqrt(np.einsum("snk,snk->sn", diff, diff))
-            valid = (d1[:, None] > 0.0) & (d2 > 0.0)
-            d2_safe = np.where(valid, d2, 1.0)
-            amp = np.sqrt(
-                (gr_sc * sc_rcs)[:, None] * self.tag_gains_np * self._scatter_const
-            ) / (d1_safe[:, None] * d2_safe)
-            contrib = amp * np.exp(self._neg_jk * (d1_safe[:, None] + d2_safe))
-            if not valid.all():
-                contrib = np.where(valid, contrib, 0.0)
-            g = g + contrib.sum(axis=0)
-
-        shadow_db = self.shadow_attenuation_db_batch(scs)
-        if np.any(shadow_db > 0.0):
-            g = g * np.where(shadow_db > 0.0, 10.0 ** (-shadow_db / 20.0), 1.0)
-        return g
 
     def scene_powers(
         self,
@@ -311,18 +195,18 @@ class ChannelEngine:
     ) -> np.ndarray:
         """Per-tag incident powers for a static base plus an optional hand.
 
-        The per-round readability fast path: element-for-element the same
-        numpy operations as :meth:`one_way_batch` (scatterer hops over a
-        hand + arm-point group) followed by the reader's power expression —
-        so the resulting readable *set* is identical — but fed from
-        precomputed template arrays instead of per-round ``Scatterer`` /
-        ``Vec3`` object graphs.  ``offsets`` is the ``(S, 3)`` block of
+        The per-round readability path: element-for-element the same
+        numpy operations as the whole-population batch reference in
+        ``tests/physics/channel_oracles.py`` (scatterer hops over a
+        hand + arm-point group) followed by the reader's power expression — so the resulting readable *set* is
+        identical — but fed from precomputed template arrays instead of
+        per-round ``Scatterer`` / ``Vec3`` object graphs.  ``offsets`` is the ``(S, 3)`` block of
         scatterer displacements from the hand position (row 0 is zeros: the
         hand itself), ``rcs`` the matching RCS column, ``shadow`` the
         hand's ``(depth_db, lateral_scale, vertical_scale)``.
         """
         self.batch_calls += 1
-        self.tags_evaluated += len(self._tag_positions)
+        self.tags_evaluated += len(self.tag_positions_np)
         g = base
         if hand_xyz is not None:
             px, py, pz = hand_xyz
@@ -339,7 +223,7 @@ class ChannelEngine:
             d2 = np.sqrt(np.einsum("snk,snk->sn", diff, diff))
             if d1.min() > 0.0 and d2.min() > 0.0:
                 # All hops valid (the overwhelmingly common case): the
-                # guarded ``where`` selections of one_way_batch reduce to
+                # guarded ``where`` selections of the batch reference reduce to
                 # identity, so skipping them leaves every element bitwise
                 # unchanged while saving the mask dispatches.
                 d1_safe = d1
@@ -409,7 +293,7 @@ class ChannelEngine:
         """
         t = hand_xyz.shape[0]
         self.batch_calls += t
-        self.tags_evaluated += t * len(self._tag_positions)
+        self.tags_evaluated += t * len(self.tag_positions_np)
         # position + cached u*k offsets per lane; row 0 of every lane is
         # assigned directly so signed zeros in the position survive.
         sc_pos = hand_xyz[:, None, :] + offsets[None, :, :]
@@ -456,104 +340,8 @@ class ChannelEngine:
                 g = g * np.where(shadow_db > 0.0, 10.0 ** (-shadow_db / 20.0), 1.0)
         return tx_power_w * np.abs(g * one_way_loss) ** 2
 
-    def incident_power_batch(
-        self,
-        tx_power_w: float,
-        scatterers: Iterable[Scatterer] = (),
-        direct_extra_loss_db: "np.ndarray | float | None" = None,
-    ) -> np.ndarray:
-        """Forward-link power (watts) at every tag's antenna port."""
-        if tx_power_w <= 0.0:
-            raise ValueError(f"tx power must be positive, got {tx_power_w}")
-        g = self.one_way_batch(scatterers, direct_extra_loss_db)
-        return tx_power_w * np.abs(g) ** 2
-
-    def roundtrip_batch(
-        self,
-        tx_power_w: float,
-        tag_modulation_efficiency: "np.ndarray | float" = 0.25,
-        scatterers: Iterable[Scatterer] = (),
-        direct_extra_loss_db: "np.ndarray | float | None" = None,
-        gammas: Optional[Sequence[complex]] = None,
-    ) -> np.ndarray:
-        """Complex baseband backscatter voltage at the reader, per tag."""
-        g = self.one_way_batch(scatterers, direct_extra_loss_db, gammas)
-        return np.sqrt(tx_power_w * np.asarray(tag_modulation_efficiency)) * g * g
-
     # ------------------------------------------------------------------
-    # Single-tag slot path (scalar; bit-identical to ChannelModel)
-    # ------------------------------------------------------------------
-
-    def one_way_single(
-        self,
-        tag_index: int,
-        scatterers: Iterable[Scatterer] = (),
-        direct_extra_loss_db: float = 0.0,
-        gammas: Optional[Sequence[complex]] = None,
-    ) -> complex:
-        """One tag's complex one-way channel, with cached static geometry.
-
-        Bit-identical to ``ChannelModel.one_way`` with the corresponding
-        ``reflector_images``: same amplitude helpers, same summation order
-        (direct, reflectors, scatterers), same shadow application.  This is
-        the per-successful-slot path, where a 25-wide numpy batch would
-        cost more than the scalar arithmetic it replaces.
-        """
-        self.single_calls += 1
-        tag_pos = self._tag_positions[tag_index]
-        gt = self._tag_gains[tag_index]
-        scs = list(scatterers)
-
-        a_direct = self._a_direct[tag_index]
-        loss_db = self.occlusion_db + direct_extra_loss_db
-        if loss_db > 0.0:
-            a_direct *= math.sqrt(db_to_linear(-loss_db))
-        g = 0j
-        g += a_direct * self._exp_direct[tag_index]
-
-        if gammas is None:
-            gammas = self.nominal_gammas
-        for j, gamma in enumerate(gammas):
-            a_img = abs(gamma) * self._fs_img[j][tag_index]
-            extra = (cmath.phase(gamma) / TWO_PI) * self.wavelength if gamma != 0 else 0.0
-            length = self._d_img[j][tag_index] - extra
-            g += a_img * cmath.exp(-1j * TWO_PI * length / self.wavelength)
-
-        ax, ay, az = self._ant_xyz
-        for sc in scs:
-            sp = sc.position
-            # Inlined Vec3.distance_to (same component order, same ops —
-            # bit-identical to the scalar model's values, no allocations).
-            dx, dy, dz = ax - sp.x, ay - sp.y, az - sp.z
-            d1 = math.sqrt(dx * dx + dy * dy + dz * dz)
-            ex, ey, ez = sp.x - tag_pos.x, sp.y - tag_pos.y, sp.z - tag_pos.z
-            d2 = math.sqrt(ex * ex + ey * ey + ez * ez)
-            if d1 <= 0.0 or d2 <= 0.0:
-                continue
-            gr_sc = self.antenna.gain_towards(sp)
-            a_sc = self._ref._scatter_amplitude(gr_sc, gt, sc.rcs_m2, d1, d2)
-            g += a_sc * cmath.exp(-1j * TWO_PI * (d1 + d2) / self.wavelength)
-
-        shadow_db = shadow_attenuation_db(tag_pos, scs)
-        if shadow_db > 0.0:
-            g *= math.sqrt(db_to_linear(-shadow_db))
-        return g
-
-    def roundtrip_single(
-        self,
-        tag_index: int,
-        tx_power_w: float,
-        tag_modulation_efficiency: float = 0.25,
-        scatterers: Iterable[Scatterer] = (),
-        direct_extra_loss_db: float = 0.0,
-        gammas: Optional[Sequence[complex]] = None,
-    ) -> complex:
-        """One tag's roundtrip baseband voltage (see ``ChannelModel.roundtrip``)."""
-        g = self.one_way_single(tag_index, scatterers, direct_extra_loss_db, gammas)
-        return math.sqrt(tx_power_w * tag_modulation_efficiency) * g * g
-
-    # ------------------------------------------------------------------
-    # Row-batched slot path (bit-identical to one_way_single per row)
+    # Per-read path (bit-identical to ChannelModel.roundtrip per row)
     # ------------------------------------------------------------------
 
     def backscatter_rows(
@@ -567,14 +355,15 @@ class ChannelEngine:
         template: "object | None" = None,
     ) -> "Tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Roundtrip voltages for M successful slots at once, bit-identical
-        per row to ``roundtrip_single`` + ``detuning_phase_rad``.
+        per row to ``ChannelModel.roundtrip`` on the row's fluttered
+        reflector images, plus ``detuning_phase_rad``.
 
         Parameters are column-wise over the M rows: the winning tag index,
-        the post-loss direct amplitude (``a_direct`` after the caller's
-        ``sqrt(db_to_linear(-loss))`` factor, matching ``one_way_single``'s
-        own scalar computation), the precomputed ``sqrt(Pt * m_tag)``
-        roundtrip scale, and the fluttered reflection coefficients as
-        ``(M, R)`` real/imag arrays.  ``hand_xyz``/``template`` describe a
+        the post-loss direct amplitude (``a_direct_np[tag]`` times the
+        caller's ``sqrt(db_to_linear(-loss))`` factor when the loss is
+        positive, as ``ChannelModel.resolve_paths`` scales it), the
+        precomputed ``sqrt(Pt * m_tag)`` roundtrip scale, and the fluttered
+        reflection coefficients as ``(M, R)`` real/imag arrays.  ``hand_xyz``/``template`` describe a
         HandPose-shaped scatterer group (hand + arm points) shared by all
         rows; ``None`` means no hand anywhere in the batch.
 
@@ -610,9 +399,11 @@ class ChannelEngine:
         for j in range(gammas_re.shape[1]):
             grl = gammas_re[:, j].tolist()
             gil = gammas_im[:, j].tolist()
-            # abs() of a complex is libm hypot; cmath.phase is atan2 — both
-            # off-by-an-ulp in numpy, so they stay scalar.
-            amp = np.array([math.hypot(a, b) for a, b in zip(grl, gil)])
+            # abs() of a complex is libm hypot, which math.hypot is not (it
+            # rounds its own way and differs in the last ulp for ~0.6% of
+            # coefficients); cmath.phase is atan2.  numpy's complex abs and
+            # arctan2 are off by an ulp too, so both stay scalar.
+            amp = np.array([abs(complex(a, b)) for a, b in zip(grl, gil)])
             extra = np.array(
                 [
                     0.0

@@ -15,11 +15,9 @@ from .protocol import (
     PROFILE_ROBUST,
     ROUND_OVERHEAD_S,
     SUCCESS_SLOT_S,
-    Gen2Inventory,
     InventoryStats,
     LinkProfile,
     QAlgorithm,
-    SlotOutcome,
     expected_round_efficiency,
 )
 from .reader import HandPoseFn, Reader, ReaderConfig
@@ -36,7 +34,6 @@ from .tag import (
 __all__ = [
     "COLLISION_SLOT_S",
     "DEFAULT_IC_SENSITIVITY_DBM",
-    "Gen2Inventory",
     "HandPoseFn",
     "IDLE_SLOT_S",
     "InventoryStats",
@@ -53,7 +50,6 @@ __all__ = [
     "ReaderConfig",
     "ReportLog",
     "SUCCESS_SLOT_S",
-    "SlotOutcome",
     "Tag",
     "TagArray",
     "TagReadReport",

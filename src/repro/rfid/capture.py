@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, TextIO, Union
+from typing import Dict, Optional, Union
 
 from .reports import ReportLog, TagReadReport
 

@@ -1,11 +1,12 @@
-"""Round-batched Gen2 inventory engine (the MAC fast tier).
+"""Round-batched Gen2 inventory engine: the reader's MAC.
 
-:class:`Gen2Inventory` walks every slot of every round in Python and yields
-one :class:`SlotOutcome` object per slot — faithful, but ~90% of a trial's
-wall time once the channel is vectorized.  :class:`RoundBatchInventory`
-resolves an entire inventory round at once while consuming the RNG stream
-*identically* to the scalar loop, so the emitted report stream is
-bit-identical for the same seed:
+The scalar reference MAC, kept with the tests in
+``tests/rfid/collect_oracles.py``, walks every slot of every round in
+Python and yields one outcome object per slot — faithful, but ~90% of a
+trial's wall time once the channel is vectorized.
+:class:`RoundBatchInventory` resolves an entire inventory round at once
+while consuming the RNG stream *identically* to the scalar loop, so the
+emitted report stream is bit-identical for the same seed:
 
 * the per-round slot-counter draw is the very same
   ``rng.integers(0, 2**Q, size=len(readable))`` call (the stream consumed
@@ -23,11 +24,11 @@ bit-identical for the same seed:
   and collisions) is order-dependent through its clamps and stays as the
   only per-round scalar work — a short Python loop over the slot codes.
 
-The scalar engine remains the reference: ``REPRO_SCALAR_INVENTORY=1``
-forces :class:`~repro.rfid.reader.Reader` back onto it (mirroring
-``REPRO_SCALAR_CHANNEL`` for the channel tier), and the golden-stream
-tests assert byte-for-byte :class:`~repro.rfid.reports.ReportLog` equality
-between the two paths across seeds, link profiles, and hand scripts.
+The scalar loop remains the reference: the MAC tests pin every success,
+statistic and generator state to it, and the golden-stream tests assert
+byte-for-byte :class:`~repro.rfid.reports.ReportLog` equality between
+:class:`~repro.rfid.reader.Reader` and the scalar reference collect,
+across seeds, link profiles, and hand scripts.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class RoundResult:
 
 
 class RoundBatchInventory:
-    """Drop-in round-level counterpart of :class:`Gen2Inventory`.
+    """Round-level counterpart of the scalar reference MAC.
 
     Same constructor, same clock/Q/stats surface, same RNG consumption —
     but each round is resolved with a handful of numpy operations instead
@@ -108,9 +109,10 @@ class RoundBatchInventory:
     def run_round_batch(self, readable: "Sequence[int] | np.ndarray") -> RoundResult:
         """Resolve one full inventory round over the readable population.
 
-        Mirrors :meth:`Gen2Inventory.run_round` operation-for-operation on
-        everything that feeds the emitted stream: the RNG draw, the slot
-        timing folds, the statistics, and the clamped ``qfp`` updates.
+        Mirrors one round of the scalar reference MAC operation for
+        operation on everything that feeds the emitted stream: the RNG
+        draw, the slot timing folds, the statistics, and the clamped
+        ``qfp`` updates.
         """
         # Scalar reference: clock += overhead; elapsed += overhead.
         self._clock += self._round_overhead_s
@@ -209,8 +211,8 @@ class RoundBatchInventory:
         readable_at: Callable[[float], "Sequence[int] | np.ndarray"],
     ) -> Iterator[RoundResult]:
         """Yield one :class:`RoundResult` per round until the clock passes
-        ``end_time`` — the round-level mirror of
-        :meth:`Gen2Inventory.run_until`.
+        ``end_time`` — the round-level mirror of the scalar reference
+        MAC's ``run_until``.
 
         Because this is a generator, a caller that draws from the shared
         RNG between rounds (the reader's per-round observation-noise

@@ -23,15 +23,16 @@ Timing constants follow Gen2 Miller-4 at 250 kbps backscatter link
 frequency — the profile commodity readers pick in dense-reader mode — and
 give an aggregate throughput of roughly 200-350 reads/s, matching what an
 Impinj R420 delivers on a 25-tag population.
+
+This module holds the protocol's parameters and bookkeeping: link
+profiles and their slot timings, the Q-algorithm and the inventory
+statistics.  The rounds themselves run in
+:class:`~repro.rfid.inventory_vec.RoundBatchInventory`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -126,16 +127,6 @@ IDLE_SLOT_S = PROFILE_DENSE.idle_slot_s
 ROUND_OVERHEAD_S = PROFILE_DENSE.round_overhead_s
 
 
-@dataclass(frozen=True)
-class SlotOutcome:
-    """Result of one MAC slot."""
-
-    time: float            # slot start time, seconds since session start
-    duration: float        # slot length, seconds
-    kind: str              # "success" | "collision" | "idle"
-    winner: Optional[int]  # index into the participating population
-
-
 @dataclass
 class QAlgorithm:
     """Floating-point Q adaptation (Gen2 Annex D style).
@@ -187,117 +178,6 @@ class InventoryStats:
         if self.slots == 0:
             return 0.0
         return self.successes / self.slots
-
-
-class Gen2Inventory:
-    """A streaming Gen2 inventory engine.
-
-    Drives inventory rounds over a population whose *readability* can change
-    between slots (the caller supplies, per round, which tags currently
-    power up).  Yields :class:`SlotOutcome` events in time order; the reader
-    layer converts successes into channel observations.
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        q_initial: float = 3.0,
-        start_time: float = 0.0,
-        profile: "LinkProfile | None" = None,
-    ) -> None:
-        self._rng = rng
-        self._qalg = QAlgorithm(qfp=q_initial)
-        self._clock = start_time
-        self.profile = profile if profile is not None else PROFILE_DENSE
-        self.stats = InventoryStats()
-        # Slot durations are pure functions of the (frozen) profile; resolve
-        # them once instead of re-deriving the timing tree every slot.
-        self._idle_s = self.profile.idle_slot_s
-        self._success_s = self.profile.success_slot_s
-        self._collision_s = self.profile.collision_slot_s
-        self._round_overhead_s = self.profile.round_overhead_s
-
-    @property
-    def clock(self) -> float:
-        return self._clock
-
-    @property
-    def current_q(self) -> int:
-        return self._qalg.q
-
-    def run_round(
-        self, readable: Sequence[int], successes_only: bool = False
-    ) -> Iterator[SlotOutcome]:
-        """Run one inventory round over the currently-readable tag indices.
-
-        Gen2 semantics: each readable tag draws a slot in [0, 2^Q - 1]; the
-        reader steps through all slots.  Tags singulated in this round stay
-        quiet for its remainder (session flag), so each tag is read at most
-        once per round.
-
-        ``successes_only`` suppresses the idle/collision outcome objects
-        (clock, stats, and Q adaptation still advance identically) — the
-        reader's collect loop only consumes successes, and most slots in a
-        tuned round are not.
-        """
-        self._clock += self._round_overhead_s
-        self.stats.elapsed += self._round_overhead_s
-        q = self._qalg.q
-        n_slots = 2**q
-        if not readable:
-            # An empty round still burns the Query overhead; Q drifts down.
-            self._qalg.on_idle()
-            return
-
-        draws = self._rng.integers(0, n_slots, size=len(readable))
-        slot_map: Dict[int, List[int]] = {}
-        for tag_idx, slot in zip(readable, draws):
-            slot_map.setdefault(int(slot), []).append(tag_idx)
-
-        stats = self.stats
-        qalg = self._qalg
-        q_min, q_max = qalg.q_min, qalg.q_max
-        idle_w, coll_w = qalg.idle_weight, qalg.collision_weight
-        for slot in range(n_slots):
-            start = self._clock
-            contenders = slot_map.get(slot)
-            if contenders is None:
-                duration, kind, winner = self._idle_s, "idle", None
-                # Inlined QAlgorithm.on_idle / on_collision: the adaptation
-                # runs once per slot, and the method-call overhead shows up
-                # in the battery profile.
-                qalg.qfp = max(q_min, qalg.qfp - idle_w)
-                stats.idles += 1
-            elif len(contenders) == 1:
-                duration, kind, winner = self._success_s, "success", contenders[0]
-                stats.successes += 1
-            else:
-                duration, kind, winner = self._collision_s, "collision", None
-                qalg.qfp = min(q_max, qalg.qfp + coll_w)
-                stats.collisions += 1
-            self._clock = start + duration
-            stats.elapsed += duration
-            if not successes_only or kind == "success":
-                yield SlotOutcome(start, duration, kind, winner)
-
-    def run_until(
-        self,
-        end_time: float,
-        readable_at: "callable[[float], Sequence[int]]",
-        successes_only: bool = False,
-    ) -> Iterator[SlotOutcome]:
-        """Run rounds back-to-back until the clock passes ``end_time``.
-
-        ``readable_at(t)`` returns the indices of tags that power up at
-        round start time ``t`` — readability is resampled every round so
-        that a hand shadowing a tag can make it drop out of inventory,
-        another observable the paper notes (unreadable tags, IV-B.1).
-        """
-        if end_time <= self._clock:
-            return
-        while self._clock < end_time:
-            readable = readable_at(self._clock)
-            yield from self.run_round(readable, successes_only=successes_only)
 
 
 def expected_round_efficiency(n_tags: int, q: int) -> float:

@@ -13,10 +13,8 @@ them, replay from a file would work just as well.
 
 from __future__ import annotations
 
-import cmath
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,33 +22,39 @@ import numpy as np
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer
 from ..physics.antenna import ReaderAntenna
-from ..physics.channel import ChannelModel, Scatterer, detuning_phase_rad
 from ..physics.channel_vec import ChannelEngine
 from ..physics.hand import (
     HandPose,
     PoseTrack,
     SightLines,
-    occlusion_loss_db,
     occlusion_loss_db_batch,
     occlusion_loss_db_rows,
 )
 from ..physics.multipath import Environment, free_space
 from ..physics.noise import ReceiverNoise, doppler_estimate_hz
-from ..units import (
-    DEFAULT_FREQUENCY_HZ,
-    TWO_PI,
-    db_to_linear,
-    dbm_to_watts,
-    wavelength,
-    wrap_phase,
-)
+from ..units import DEFAULT_FREQUENCY_HZ, db_to_linear, dbm_to_watts, wavelength
 from .deployment import TagArray
 from .inventory_vec import RoundBatchInventory, TrialAxisInventory
-from .protocol import Gen2Inventory, InventoryStats, LinkProfile
+from .protocol import InventoryStats, LinkProfile
 from .reports import ReportLog, TagReadReport
 
 HandPoseFn = Callable[[float], Optional[HandPose]]
 PoseTrackFn = Callable[[np.ndarray], PoseTrack]
+
+
+def _pose_clocks(
+    hand_pose_at: Optional[HandPoseFn], pose_at_many: Optional[PoseTrackFn]
+) -> Tuple[HandPoseFn, Optional[PoseTrackFn]]:
+    """The scalar pose clock and, when the source offers one, the
+    vectorized one: a bound ``hand_pose_at`` of an object exposing
+    ``pose_at_many`` (a :class:`~repro.motion.script.WritingScript`)
+    brings its ``pose_at_many`` along."""
+    if pose_at_many is None and hand_pose_at is not None:
+        owner = getattr(hand_pose_at, "__self__", None)
+        if owner is not None:
+            pose_at_many = getattr(owner, "pose_at_many", None)
+    pose_at = hand_pose_at if hand_pose_at is not None else (lambda t: None)
+    return pose_at, pose_at_many
 
 
 @dataclass
@@ -128,12 +132,13 @@ class ReaderConfig:
 class Reader:
     """A single-antenna reader bound to one tag array and one environment.
 
-    ``use_engine`` selects the vectorized :class:`ChannelEngine` hot path
-    (the default).  ``False`` — or the ``REPRO_SCALAR_CHANNEL=1``
-    environment variable when ``use_engine`` is left as ``None`` — runs the
-    original per-tag scalar path, kept as the reference implementation;
-    both produce bit-identical report streams for the same seed (enforced
-    by ``tests/rfid/test_determinism.py``).
+    Every read runs through one path: the round-batched MAC
+    (:class:`RoundBatchInventory`), readability from one
+    :meth:`ChannelEngine.scene_powers` evaluation per round, and each
+    success through :meth:`ChannelEngine.backscatter_rows`.  The scalar
+    per-slot, per-tag reference it reproduces bit for bit lives with the
+    tests (``tests/rfid/collect_oracles.py``, checked by
+    ``tests/rfid/test_determinism.py``).
     """
 
     def __init__(
@@ -144,7 +149,6 @@ class Reader:
         environment: Optional[Environment] = None,
         noise: ReceiverNoise = ReceiverNoise(),
         rng: Optional[np.random.Generator] = None,
-        use_engine: Optional[bool] = None,
     ) -> None:
         self.antenna = antenna
         self.array = array
@@ -154,25 +158,15 @@ class Reader:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         # Static multipath geometry: image positions never move while the
         # deployment stands, only their coefficients flutter between reads.
-        self._nominal_images = self.environment.image_antennas(antenna.position)
-        # Nominal (flutter-free) channel for readability checks.
-        self._nominal_channel = ChannelModel(
-            antenna,
-            config.wavelength,
-            self._nominal_images,
-        )
-        if use_engine is None:
-            use_engine = os.environ.get("REPRO_SCALAR_CHANNEL", "0") != "1"
-        self._engine: Optional[ChannelEngine] = None
-        if use_engine:
-            with get_tracer().span("channel.batch", stage="precompute", tags=len(array.tags)):
-                self._engine = ChannelEngine(
-                    antenna,
-                    config.wavelength,
-                    [tag.position for tag in array.tags],
-                    [tag.gain_linear for tag in array.tags],
-                    self._nominal_images,
-                )
+        nominal_images = self.environment.image_antennas(antenna.position)
+        with get_tracer().span("channel.batch", stage="precompute", tags=len(array.tags)):
+            self._engine = ChannelEngine(
+                antenna,
+                config.wavelength,
+                [tag.position for tag in array.tags],
+                [tag.gain_linear for tag in array.tags],
+                nominal_images,
+            )
         self._static_loss_db = np.array([tag.static_shadow_db for tag in array.tags])
         self._static_powers: Optional[np.ndarray] = None
         self._sens_key: Optional[Tuple[float, ...]] = None
@@ -180,14 +174,11 @@ class Reader:
         # Direct + nominal-reflector terms under the static per-tag losses:
         # constant for every readability check that adds no occlusion, so
         # the per-round batch touches only the scatterer/shadow terms.
-        self._static_base: Optional[np.ndarray] = None
+        self._static_base = self._engine.static_base(self._static_loss_db)
         # LOS arm occlusion is measured against fixed antenna->tag segments.
-        self._sight_lines: Optional[SightLines] = None
-        if self._engine is not None:
-            self._static_base = self._engine.static_base(self._static_loss_db)
-            self._sight_lines = SightLines.between(
-                antenna.position, self._engine.tag_positions_np
-            )
+        self._sight_lines = SightLines.between(
+            antenna.position, self._engine.tag_positions_np
+        )
         self._one_way_loss = math.sqrt(db_to_linear(-config.system_loss_db))
         self._last_read: Dict[int, Tuple[float, float]] = {}  # tag -> (t, phase)
         # Per-template readability arrays (arm offsets, RCS column, shadow
@@ -196,48 +187,21 @@ class Reader:
         self._pose_cache: Dict[Tuple[float, ...], Tuple[np.ndarray, np.ndarray, Tuple[float, float, float]]] = {}
 
     # ------------------------------------------------------------------
-    # Per-read channel evaluation
+    # Scene evaluation
     # ------------------------------------------------------------------
-
-    def _scatterers(self, pose: Optional[HandPose]) -> List[Scatterer]:
-        if pose is None:
-            return []
-        return pose.scatterers(include_arm=True)
-
-    def _direct_loss_db(self, tag_index: int, pose: Optional[HandPose]) -> float:
-        tag = self.array.tags[tag_index]
-        loss = tag.static_shadow_db
-        if self.config.los_occlusion and pose is not None:
-            loss += occlusion_loss_db(self.antenna.position, tag.position, pose)
-        return loss
 
     def incident_power_w(self, tag_index: int, pose: Optional[HandPose]) -> float:
         """Forward-link power at the tag, including system loss and coupling."""
-        tag = self.array.tags[tag_index]
-        g = self._nominal_channel.one_way(
-            tag.position,
-            tag.gain_linear,
-            self._scatterers(pose),
-            self._direct_loss_db(tag_index, pose),
-        )
-        return self.config.tx_power_w * abs(g * self._one_way_loss) ** 2
+        return float(self._scene_powers(pose)[tag_index])
 
     def readable_indices(self, pose: Optional[HandPose]) -> List[int]:
         """Tags whose ICs power up under the current scene.
 
-        With the engine enabled this is **one** batched power evaluation
-        over the whole array instead of N independent scalar ray sums; the
-        hand-free scene (calibration, idle gaps) is fully static, so its
-        incident powers are computed once and cached.  IC sensitivities are
-        always read live — deployments (and the failure-injection tests)
-        may kill tags after the reader is built.
+        **One** batched power evaluation over the whole array
+        (:meth:`_scene_powers`).  IC sensitivities are always read live —
+        deployments (and the failure-injection tests) may kill tags after
+        the reader is built.
         """
-        if self._engine is None:
-            return [
-                i
-                for i, tag in enumerate(self.array.tags)
-                if tag.is_powered(self.incident_power_w(i, pose))
-            ]
         return self._readable_arr(pose).tolist()
 
     def _pose_fast_arrays(
@@ -276,8 +240,8 @@ class Reader:
         """The direct + nominal-reflector base for one hand pose.
 
         NLOS: the cached static base.  LOS: the static base recomputed under
-        the pose's arm occlusion, bit for bit what ``one_way_batch`` builds
-        for the same per-tag losses.  The body points are ``hand + offsets``
+        the pose's arm occlusion (:meth:`ChannelEngine.static_base` with the
+        per-tag loss).  The body points are ``hand + offsets``
         with row 0 assigned, as :meth:`ChannelEngine.scene_powers` places
         them.
         """
@@ -288,45 +252,52 @@ class Reader:
         occlusion = occlusion_loss_db_batch(self._sight_lines, body)
         return self._engine.static_base(self._static_loss_db + occlusion)
 
-    def _readable_arr(
-        self, pose: Optional[HandPose], sens_w: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Engine-tier :meth:`readable_indices`, as an int64 index array.
+    def _scene_powers(self, pose: Optional[HandPose]) -> np.ndarray:
+        """Incident power at every tag under ``pose``, watts.
 
         Every hand pose — both mounts — runs through
         :meth:`ChannelEngine.scene_powers` with cached template arrays; an
         LOS pose passes its occluded direct-path base (:meth:`_pose_base`).
+        The hand-free scene (calibration, idle gaps) is fully static, so
+        its powers are computed once and cached.
+        """
+        if pose is None and self._static_powers is not None:
+            return self._static_powers
+        with get_tracer().span("channel.batch", tags=len(self.array.tags)):
+            if pose is not None:
+                offsets, rcs, shadow = self._pose_fast_arrays(pose)
+                p = pose.position
+                hand = (p.x, p.y, p.z)
+                powers = self._engine.scene_powers(
+                    self._pose_base(hand, offsets),
+                    self.config.tx_power_w,
+                    self._one_way_loss,
+                    hand,
+                    offsets,
+                    rcs,
+                    shadow,
+                )
+            else:
+                powers = self._engine.scene_powers(
+                    self._static_base, self.config.tx_power_w, self._one_way_loss
+                )
+        if pose is None:
+            self._static_powers = powers
+        return powers
+
+    def _readable_arr(
+        self, pose: Optional[HandPose], sens_w: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """:meth:`readable_indices` as an int64 index array.
+
         ``sens_w`` lets a collect window pass the sensitivity vector it
         resolved once up front — nothing can mutate tag sensitivities
         *inside* a window (the simulator is single-threaded), only between
         collects.
         """
-        if pose is None and self._static_powers is not None:
-            powers = self._static_powers
-        else:
-            with get_tracer().span("channel.batch", tags=len(self.array.tags)):
-                if pose is not None:
-                    offsets, rcs, shadow = self._pose_fast_arrays(pose)
-                    p = pose.position
-                    hand = (p.x, p.y, p.z)
-                    powers = self._engine.scene_powers(
-                        self._pose_base(hand, offsets),
-                        self.config.tx_power_w,
-                        self._one_way_loss,
-                        hand,
-                        offsets,
-                        rcs,
-                        shadow,
-                    )
-                else:
-                    powers = self._engine.scene_powers(
-                        self._static_base, self.config.tx_power_w, self._one_way_loss
-                    )
-            if pose is None:
-                self._static_powers = powers
         if sens_w is None:
             sens_w = self._sensitivity_w()
-        return np.nonzero(powers >= sens_w)[0]
+        return np.nonzero(self._scene_powers(pose) >= sens_w)[0]
 
     def _sensitivity_w(self) -> np.ndarray:
         """Per-tag IC wake-up thresholds (watts), revalidated on every call.
@@ -341,64 +312,25 @@ class Reader:
         return self._sens_w
 
     def observe_tag(self, tag_index: int, t: float, pose: Optional[HandPose]) -> TagReadReport:
-        """Evaluate the channel and produce the LLRP-style report for one read."""
-        tag = self.array.tags[tag_index]
-        scatterers = self._scatterers(pose)
-        loss_db = self._direct_loss_db(tag_index, pose)
-        if self._engine is not None:
-            # Per-read environment flutter: only the reflection coefficients
-            # change between reads, so resample them against the cached
-            # image geometry (same RNG draws as Environment.image_antennas).
-            gammas = self.environment.sample_gammas(self.rng)
-            s = self._engine.roundtrip_single(
-                tag_index,
-                self.config.tx_power_w,
-                tag.modulation_efficiency,
-                scatterers,
-                loss_db,
-                gammas,
-            )
-            detune = detuning_phase_rad(tag.position, scatterers)
-        else:
-            # Scalar reference path: rebuild the fluttered channel per read.
-            channel = ChannelModel(
-                self.antenna,
-                self.config.wavelength,
-                self.environment.image_antennas(self.antenna.position, self.rng),
-            )
-            s = channel.roundtrip(
-                self.config.tx_power_w,
-                tag.position,
-                tag.gain_linear,
-                tag.modulation_efficiency,
-                scatterers,
-                loss_db,
-            )
-            detune = channel.detuning_phase_rad(tag.position, scatterers)
-        s *= self._one_way_loss**2
-        # Circuit phase offsets: reader TX+RX chain plus the tag's
-        # reflection characteristic (Eq. 6-7 of the paper), plus the
-        # near-field resonance detuning a hovering hand imposes on the tag.
-        s *= cmath.exp(-1j * (self.config.theta_reader + tag.theta_tag + detune))
+        """Evaluate the channel and produce the LLRP-style report for one read.
 
-        rss_dbm, phase = self.noise.observe(s, self.rng)
-
-        doppler = 0.0
-        if tag_index in self._last_read:
-            t_prev, phase_prev = self._last_read[tag_index]
-            if t > t_prev:
-                doppler = doppler_estimate_hz(phase, phase_prev, t - t_prev, self.config.wavelength)
-        self._last_read[tag_index] = (t, phase)
-
-        return TagReadReport(
-            epc=tag.epc,
-            tag_index=tag.index,
-            timestamp=t,
-            phase_rad=phase,
-            rss_dbm=rss_dbm,
-            doppler_hz=doppler,
-            antenna_port=self.config.antenna_port,
+        One read through the collect path's emit: its flutter and receiver
+        draws come off ``rng`` as one ``standard_normal`` block, the stream
+        positions a collect gives each success.
+        """
+        nz_f = self.environment.flutter_draw_count
+        z = self.rng.standard_normal(nz_f + 4).reshape(1, nz_f + 4)
+        log = ReportLog()
+        self._emit_batched(
+            np.array([t], dtype=float),
+            np.array([tag_index], dtype=np.int64),
+            z,
+            nz_f,
+            lambda _t: pose,
+            None,
+            log,
         )
+        return log[0]
 
     # ------------------------------------------------------------------
     # Inventory sessions
@@ -430,14 +362,11 @@ class Reader:
         ``slices`` the plan is the one slice of ``duration`` from
         ``start_time``.  ``last_inventory_stats`` is the sum over slices.
 
-        With the channel engine enabled the window runs on the round-batched
-        path: the MAC resolves whole rounds (:class:`RoundBatchInventory`)
-        and all of a window's successes go through the engine's row-batched
-        channel kernel, emitting a bit-identical report stream.
-        ``REPRO_SCALAR_INVENTORY=1`` forces the scalar slot loop (the
-        reference for the golden-stream equality tests).  ``pose_at_many``
-        optionally supplies the vectorized pose clock; when ``hand_pose_at``
-        is a bound method of an object exposing ``pose_at_many`` (a
+        The MAC resolves whole rounds (:class:`RoundBatchInventory`) and
+        all of a window's successes go through the engine's row-batched
+        channel kernel.  ``pose_at_many`` optionally supplies the
+        vectorized pose clock; when ``hand_pose_at`` is a bound method of
+        an object exposing ``pose_at_many`` (a
         :class:`~repro.motion.script.WritingScript`), it is picked up
         automatically.
         """
@@ -454,27 +383,13 @@ class Reader:
         for _, dur in plan:
             if dur <= 0.0:
                 raise ValueError(f"duration must be positive, got {dur}")
-        pose_at: HandPoseFn = hand_pose_at if hand_pose_at is not None else (lambda t: None)
-        if pose_at_many is None and hand_pose_at is not None:
-            owner = getattr(hand_pose_at, "__self__", None)
-            if owner is not None:
-                pose_at_many = getattr(owner, "pose_at_many", None)
+        pose_at, pose_at_many = _pose_clocks(hand_pose_at, pose_at_many)
         out = log if log is not None else ReportLog()
         n_before = len(out)
-        use_batched = (
-            self._engine is not None
-            and os.environ.get("REPRO_SCALAR_INVENTORY", "0") != "1"
-        )
         with get_tracer().span(
             "reader.collect", duration_s=sum(dur for _, dur in plan)
         ) as sp:
-            if use_batched:
-                parts = self._collect_batched(plan, pose_at, pose_at_many, out)
-            else:
-                parts = [
-                    self._collect_scalar(t0, dur, pose_at, out)
-                    for t0, dur in plan
-                ]
+            parts = self._collect_batched(plan, pose_at, pose_at_many, out)
             stats = InventoryStats(
                 successes=sum(s.successes for s in parts),
                 collisions=sum(s.collisions for s in parts),
@@ -491,24 +406,6 @@ class Reader:
         self._record_metrics(stats, out, n_before)
         return out
 
-    def _collect_scalar(
-        self, start_time: float, duration: float, pose_at: HandPoseFn, out: ReportLog
-    ) -> InventoryStats:
-        """The reference slot loop over one slice: one ``observe_tag`` per success."""
-        inventory = Gen2Inventory(
-            self.rng, start_time=start_time, profile=self.config.link_profile
-        )
-
-        def readable_at(t: float) -> Sequence[int]:
-            return self.readable_indices(pose_at(t))
-
-        for slot in inventory.run_until(
-            start_time + duration, readable_at, successes_only=True
-        ):
-            if slot.winner is not None:
-                out.append(self.observe_tag(slot.winner, slot.time, pose_at(slot.time)))
-        return inventory.stats
-
     def _collect_batched(
         self,
         plan: Sequence[Tuple[float, float]],
@@ -520,14 +417,14 @@ class Reader:
         one row-batched channel evaluation; returns per-slice MAC stats.
 
         RNG stream contract (what makes the output bit-identical to the
-        scalar path): per round, the MAC consumes one ``integers`` draw,
-        then the scalar path consumes ``flutter + 4`` standard normals per
-        success *in slot order* before the next round's draw.  Here each
-        round's successes pull one ``standard_normal(k * nz)`` block inside
-        the generator loop — same stream positions, same values — and the
-        block is later sliced per read in the same slot order.  Slices run
-        back to back on the same generator, so the stream is the one a
-        collect per slice consumes.
+        scalar reference): per round, the MAC consumes one ``integers``
+        draw, then the scalar reference consumes ``flutter + 4`` standard
+        normals per success *in slot order* before the next round's draw.
+        Here each round's successes pull one ``standard_normal(k * nz)``
+        block inside the generator loop — same stream positions, same
+        values — and the block is later sliced per read in the same slot
+        order.  Slices run back to back on the same generator, so the
+        stream is the one a collect per slice consumes.
         """
         nz_f = self.environment.flutter_draw_count
         nz = nz_f + 4
@@ -574,7 +471,6 @@ class Reader:
         """Evaluate one window's successes through the row kernel and emit."""
         m = times.size
         engine = self._engine
-        assert engine is not None
         config = self.config
         tags = self.array.tags
 
@@ -588,13 +484,11 @@ class Reader:
             )
 
         # Per-tag window constants, with the scalar expressions verbatim.
-        a_direct = engine._a_direct
-        occl_db = engine.occlusion_db
         amp_by_tag: List[float] = []
         sqrt_te: List[float] = []
         trt: List[float] = []
-        for tag, a in zip(tags, a_direct):
-            loss_db = occl_db + tag.static_shadow_db
+        for tag, a in zip(tags, engine.a_direct_np.tolist()):
+            loss_db = tag.static_shadow_db
             amp_by_tag.append(
                 a * math.sqrt(db_to_linear(-loss_db)) if loss_db > 0.0 else a
             )
@@ -604,7 +498,7 @@ class Reader:
         sqrt_te_rows = np.array(sqrt_te)[winners]
 
         # Reflector flutter for all rows at once, from the same draws the
-        # scalar path would have consumed per read.
+        # scalar reference consumes per read.
         g_re, g_im = self.environment.sample_gammas_rows(z[:, :nz_f])
 
         # Row-batched channel kernel, grouped by hand presence/template.
@@ -686,17 +580,19 @@ class Reader:
     ) -> np.ndarray:
         """Direct amplitudes of LOS reads under their per-read arm occlusion.
 
-        The loss and amplitude expressions are ``observe_tag``'s, row by
-        row: :func:`occlusion_loss_db_rows` is exact per row, the adds and
-        the product are exact elementwise, and the libm ``db_to_linear``
-        stays in a flat float loop.
+        The loss and amplitude expressions are the scalar reference's, row
+        by row (the static shadow plus ``occlusion_loss_db``, scaling the
+        direct amplitude as ``ChannelModel.resolve_paths`` does):
+        :func:`occlusion_loss_db_rows` is exact per row, the adds and the
+        product are exact elementwise, and the libm ``db_to_linear`` stays
+        in a flat float loop.
         """
         engine = self._engine
         extra = occlusion_loss_db_rows(
             self.antenna.position, engine.tag_positions_np[winners], hand_xyz, template
         )
         static_db = np.array([tag.static_shadow_db for tag in self.array.tags])
-        loss_db = engine.occlusion_db + (static_db[winners] + extra)
+        loss_db = static_db[winners] + extra
         factor = [
             math.sqrt(db_to_linear(-loss)) if loss > 0.0 else 1.0
             for loss in loss_db.tolist()
@@ -728,21 +624,12 @@ class Reader:
         # Tags the MAC never delivered this window (unreadable / shadowed):
         # the paper's "unreadable tags" observable (IV-B.1).
         metrics.inc("reader.unread_tags", len(self.array.tags) - len(per_tag))
-        if self._engine is not None:
-            for name, value in self._engine.drain_counters().items():
-                metrics.inc(f"channel.{name}", value)
+        for name, value in self._engine.drain_counters().items():
+            metrics.inc(f"channel.{name}", value)
 
     # ------------------------------------------------------------------
     # Trial-axis collection (many independent windows in lockstep)
     # ------------------------------------------------------------------
-
-    @property
-    def supports_trial_batch(self) -> bool:
-        """Whether :meth:`collect_batch` is available for this reader."""
-        return (
-            self._engine is not None
-            and os.environ.get("REPRO_SCALAR_INVENTORY", "0") != "1"
-        )
 
     def collect_batch(self, specs: Sequence[CollectSpec]) -> List[LaneCollect]:
         """Run the MAC phase of many independent collect windows in lockstep.
@@ -766,22 +653,13 @@ class Reader:
         subsequent :meth:`emit_lane` report log) is bit-identical to a
         solo :meth:`collect` with the same generator state.
         """
-        if self._engine is None:
-            raise RuntimeError("collect_batch requires the channel engine")
         nz = self.environment.flutter_draw_count + 4
         sens_w = self._sensitivity_w()
         lanes: List[LaneCollect] = []
         for spec in specs:
             if spec.duration <= 0.0:
                 raise ValueError(f"duration must be positive, got {spec.duration}")
-            pose_at: HandPoseFn = (
-                spec.hand_pose_at if spec.hand_pose_at is not None else (lambda t: None)
-            )
-            pose_at_many = spec.pose_at_many
-            if pose_at_many is None and spec.hand_pose_at is not None:
-                owner = getattr(spec.hand_pose_at, "__self__", None)
-                if owner is not None:
-                    pose_at_many = getattr(owner, "pose_at_many", None)
+            pose_at, pose_at_many = _pose_clocks(spec.hand_pose_at, spec.pose_at_many)
             rng = spec.rng if spec.rng is not None else self.rng
             inv = RoundBatchInventory(
                 rng, start_time=spec.start_time, profile=self.config.link_profile

@@ -9,9 +9,7 @@ calibration must cancel — and a per-tag modulation efficiency.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 

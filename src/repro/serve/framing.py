@@ -17,8 +17,7 @@ incremental parser — feed it arbitrary byte fragments and it yields every
 complete message exactly once, in order, regardless of how the stream was
 fragmented or coalesced (property-tested in ``tests/serve/``).
 
-Chunk payloads reuse the columnar layout of the shared-memory transport
-(:mod:`repro.sim.shm`): the five numeric columns of a
+Chunk payloads are columnar: the five numeric columns of a
 :class:`~repro.rfid.reports.ReportLog` laid end-to-end as little-endian
 float64, with the EPC string column collapsed to a per-chunk
 ``tag_index -> epc`` map in the header (EPCs are a static property of the
@@ -52,7 +51,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..rfid.reports import ReportLog
-from ..sim.shm import epc_map_of
 
 __all__ = [
     "FrameDecoder",
@@ -71,7 +69,7 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _U32 = struct.Struct(">I")
 
-#: Numeric columns per chunk payload, in layout order (matches sim/shm):
+#: Numeric columns per chunk payload, in layout order:
 #: timestamp, tag_index, phase, rss, doppler — all as little-endian f8.
 _N_COLS = 5
 
@@ -139,7 +137,20 @@ class FrameDecoder:
 
 
 # ----------------------------------------------------------------------
-# Chunk payload codec (columnar, mirrors repro.sim.shm's layout).
+# Chunk payload codec (columnar).
+
+
+def epc_map_of(tag: np.ndarray, epc: np.ndarray) -> Dict[int, str]:
+    """First-seen ``tag_index -> epc`` map for a column pair.
+
+    EPCs are a static property of the deployment, so this small dict is
+    all a chunk needs to regenerate the per-row EPC string column exactly.
+    """
+    out: Dict[int, str] = {}
+    for t, e in zip(tag.tolist(), epc.tolist()):
+        if t not in out:
+            out[t] = e
+    return out
 
 
 def chunk_message(
@@ -153,7 +164,7 @@ def chunk_message(
     Returns ``(header, payload)`` ready for :func:`encode_frame`.  The
     numeric columns ride as one contiguous little-endian float64 block;
     tag indices are exactly recoverable from their float64 image (they
-    are tiny integers), matching the shared-memory transport's layout.
+    are tiny integers).
 
     Workspace tenants route per-tile streams over the same message by
     setting ``tile`` (0-based tile number) and optionally ``t_hi`` — the

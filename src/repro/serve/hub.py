@@ -47,7 +47,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.pipeline import RFIPad
 from ..obs.log import get_logger
@@ -64,7 +64,6 @@ from ..stream import (
 from .framing import (
     FrameDecoder,
     FramingError,
-    chunk_message,
     decode_chunk,
     encode_frame,
     t_hi_of,

@@ -55,9 +55,9 @@ in submission order.  Worker-side *calibration* telemetry is discarded
 once at init, which keeps merged counter totals worker-count invariant.
 Relayed spans carry ``attrs["relayed"] = True``.
 
-**Log transport.**  ``collect_logs=True`` ships each chunk's ReportLogs
-back through one shared-memory columnar block (:mod:`repro.sim.shm`)
-instead of pickling per-trial report rows.
+**Log transport.**  With ``collect_logs=True`` each trial keeps its
+ReportLog, and a worker's trials carry their logs back in the pickled
+chunk result; a log pickles as its numpy columns.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def _motion_chunk_task(args):
         on_trial=lambda trial: pairs.append((trial, _task_snapshot())),
         keep_logs=collect_logs,
     )
-    return _strip_logs(pairs, collect_logs)
+    return pairs
 
 
 def _letter_chunk_task(args):
@@ -240,19 +240,7 @@ def _letter_chunk_task(args):
         on_trial=lambda trial: pairs.append((trial, _task_snapshot())),
         keep_logs=collect_logs,
     )
-    return _strip_logs(pairs, collect_logs)
-
-
-def _strip_logs(pairs, collect_logs):
-    """Detach trial logs into a shared-memory payload for the return trip."""
-    if not collect_logs:
-        return pairs, None
-    from .shm import pack_logs
-
-    logs = [trial.log for trial, _ in pairs]
-    for trial, _ in pairs:
-        trial.log = None
-    return pairs, pack_logs(logs)
+    return pairs
 
 
 def _motion_fallback(runner: "SessionRunner", task, collect_logs: bool):
@@ -371,7 +359,6 @@ def _run_pool(
     from ..obs.metrics import get_metrics
     from ..obs.telemetry import merge_snapshot
     from ..obs.trace import get_tracer
-    from .shm import unpack_logs
 
     tracer, metrics = get_tracer(), get_metrics()
     flags = (tracer.enabled, metrics.enabled)
@@ -380,7 +367,7 @@ def _run_pool(
     timeout = _trial_timeout_s()
     futures = [pool.submit(chunk_fn, (chunk, collect_logs)) for chunk in chunks]
 
-    slots: "List[Optional[tuple]]" = [None] * len(chunks)
+    slots: "List[Optional[list]]" = [None] * len(chunks)
     lost: "List[int]" = []
     evicted = False
     for ci, fut in enumerate(futures):
@@ -409,24 +396,15 @@ def _run_pool(
             continue
         except (Exception, CancelledError):
             _discard_pool(retry)
-        slots[ci] = (
-            [
-                (fallback_fn(runner, task, collect_logs), None)
-                for task in chunks[ci]
-            ],
-            None,
-        )
+        slots[ci] = [
+            (fallback_fn(runner, task, collect_logs), None) for task in chunks[ci]
+        ]
         recovered += len(chunks[ci])
 
     trials = []
     relayed = 0
-    for pairs, logs_payload in slots:
-        logs = (
-            unpack_logs(*logs_payload) if logs_payload is not None else None
-        )
-        for j, (trial, snapshot) in enumerate(pairs):
-            if logs is not None:
-                trial.log = logs[j]
+    for pairs in slots:
+        for trial, snapshot in pairs:
             trials.append(trial)
             if snapshot is not None and not snapshot.is_empty:
                 merge_snapshot(

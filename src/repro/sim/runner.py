@@ -20,9 +20,9 @@ from ..motion.strokes import Motion
 from ..motion.user import DEFAULT_USER, UserProfile
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer
-from ..rfid.reader import Reader
+from ..rfid.reader import CollectSpec, Reader
 from ..rfid.reports import ReportLog
-from .scenario import Scenario, ScenarioConfig, build_scenario
+from .scenario import Scenario, build_scenario
 
 
 @dataclass
@@ -163,22 +163,9 @@ class SessionRunner:
         counterpart regardless of how trials are grouped into batches.
         ``on_trial`` fires after each trial's assembly and metrics (the
         parallel worker captures its per-trial telemetry snapshot there).
-
-        Falls back to the solo loop when the reader cannot run the
-        trial-axis path (scalar channel/inventory modes).
         """
         if not items:
             return []
-        if not self.reader.supports_trial_batch:
-            trials = []
-            for motion, user, speed, rng in items:
-                self.reseed(rng)
-                trial = self.run_motion(motion, user=user, speed=speed, keep_log=keep_logs)
-                if on_trial is not None:
-                    on_trial(trial)
-                trials.append(trial)
-            return trials
-        from ..rfid.reader import CollectSpec
 
         prepared = []
         specs = []
@@ -231,7 +218,7 @@ class SessionRunner:
         deterministic in the scenario seed and independent of the worker
         count, but a *different* (equally valid) draw sequence than the
         serial loop.  ``collect_logs=True`` attaches each trial's
-        :class:`ReportLog` (shipped back over shared memory from workers).
+        :class:`ReportLog` (pickled back with the trial from workers).
         """
         from .parallel import resolve_workers, run_motion_battery_parallel
 
@@ -294,16 +281,6 @@ class SessionRunner:
         """Letter counterpart of :meth:`run_motion_batch`."""
         if not items:
             return []
-        if not self.reader.supports_trial_batch:
-            trials = []
-            for letter, user, rng in items:
-                self.reseed(rng)
-                trial = self.run_letter(letter, user=user, keep_log=keep_logs)
-                if on_trial is not None:
-                    on_trial(trial)
-                trials.append(trial)
-            return trials
-        from ..rfid.reader import CollectSpec
 
         prepared = []
         specs = []

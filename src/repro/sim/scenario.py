@@ -12,7 +12,7 @@ Centralises the deployment defaults of the paper's prototype (section IV-A
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -66,11 +66,7 @@ class Scenario:
     environment: Environment
     rng: np.random.Generator
 
-    def make_reader(
-        self,
-        noise: Optional[ReceiverNoise] = None,
-        use_engine: Optional[bool] = None,
-    ) -> Reader:
+    def make_reader(self, noise: Optional[ReceiverNoise] = None) -> Reader:
         reader_config = ReaderConfig(
             tx_power_dbm=self.config.tx_power_dbm,
             los_occlusion=(self.config.mount == "los"),
@@ -83,7 +79,6 @@ class Scenario:
             self.environment,
             noise if noise is not None else ReceiverNoise(),
             rng=self.rng,
-            use_engine=use_engine,
         )
 
 

@@ -1,12 +1,13 @@
 """Cross-check suite: vectorized ChannelEngine vs the scalar ChannelModel.
 
-The engine's contract (see DESIGN.md) has two tiers:
+The engine's contract (see DESIGN.md) has two paths:
 
-* the batch path (``one_way_batch`` / ``roundtrip_batch``) matches the
-  scalar reference to <= 1e-9 *relative* error on arbitrary geometries;
-* the single-tag slot path (``one_way_single`` / ``roundtrip_single``)
-  is **bit-identical** to ``ChannelModel`` — it routes through the same
-  amplitude helpers in the same summation order.
+* readability (``scene_powers`` / ``scene_powers_trials``) repeats the
+  whole-population batch reference (``channel_oracles.one_way_batch``)
+  bit for bit, and that reference matches the scalar model to <= 1e-9
+  *relative* error on arbitrary geometries;
+* the per-read kernel (``backscatter_rows``) is **bit-identical** row by
+  row to ``ChannelModel.roundtrip`` on the row's fluttered images.
 
 Geometries here are randomized (antenna pose, tag grid, reflector images,
 hand/arm scatterers) so the checks are property tests, not goldens.
@@ -14,13 +15,14 @@ hand/arm scatterers) so the checks are property tests, not goldens.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from repro.physics.antenna import ReaderAntenna
-from repro.physics.channel import ChannelModel, Scatterer
+from repro.physics.channel import ChannelModel, Scatterer, detuning_phase_rad
 from repro.physics.channel_vec import ChannelEngine
 from repro.physics.geometry import Vec3
 from repro.physics.hand import (
@@ -30,6 +32,9 @@ from repro.physics.hand import (
     occlusion_loss_db_batch,
     occlusion_loss_db_rows,
 )
+from repro.units import db_to_linear
+
+from .channel_oracles import incident_power_batch, one_way_batch, roundtrip_batch
 
 WAVELENGTH = 0.327  # ~915 MHz
 
@@ -68,11 +73,9 @@ def random_case(rng: np.random.Generator):
     return antenna, tag_positions, tag_gains, images, scatterers, loss_db
 
 
-def build_pair(antenna, tag_positions, tag_gains, images, occlusion_db=0.0):
-    model = ChannelModel(antenna, WAVELENGTH, images, occlusion_db)
-    engine = ChannelEngine(
-        antenna, WAVELENGTH, tag_positions, tag_gains, images, occlusion_db
-    )
+def build_pair(antenna, tag_positions, tag_gains, images):
+    model = ChannelModel(antenna, WAVELENGTH, images)
+    engine = ChannelEngine(antenna, WAVELENGTH, tag_positions, tag_gains, images)
     return model, engine
 
 
@@ -87,7 +90,7 @@ class TestBatchCrossCheck:
         for _ in range(30):
             antenna, tags, gains, images, scs, loss = random_case(rng)
             model, engine = build_pair(antenna, tags, gains, images)
-            g_batch = engine.one_way_batch(scs, direct_extra_loss_db=loss)
+            g_batch = one_way_batch(engine, scs, direct_extra_loss_db=loss)
             for i, (pos, gt) in enumerate(zip(tags, gains)):
                 g_ref = model.one_way(pos, gt, scs, loss)
                 assert rel_err(g_batch[i], g_ref) <= 1e-9
@@ -97,8 +100,8 @@ class TestBatchCrossCheck:
         for _ in range(15):
             antenna, tags, gains, images, scs, loss = random_case(rng)
             model, engine = build_pair(antenna, tags, gains, images)
-            s_batch = engine.roundtrip_batch(
-                1.0, 0.25, scs, direct_extra_loss_db=loss
+            s_batch = roundtrip_batch(
+                engine, 1.0, 0.25, scs, direct_extra_loss_db=loss
             )
             for i, (pos, gt) in enumerate(zip(tags, gains)):
                 s_ref = model.roundtrip(1.0, pos, gt, 0.25, scs, loss)
@@ -108,7 +111,7 @@ class TestBatchCrossCheck:
         rng = np.random.default_rng(99)
         antenna, tags, gains, images, scs, loss = random_case(rng)
         model, engine = build_pair(antenna, tags, gains, images)
-        p_batch = engine.incident_power_batch(2.0, scs, loss)
+        p_batch = incident_power_batch(engine, 2.0, scs, loss)
         for i, (pos, gt) in enumerate(zip(tags, gains)):
             p_ref = model.incident_power(2.0, pos, gt, scs, loss)
             assert p_batch[i] == pytest.approx(p_ref, rel=1e-9)
@@ -128,7 +131,7 @@ class TestBatchCrossCheck:
             ]
             perturbed = [(pos, g) for (pos, _), g in zip(images, gammas)]
             model = ChannelModel(antenna, WAVELENGTH, perturbed)
-            g_batch = engine.one_way_batch(scs, loss, gammas=gammas)
+            g_batch = one_way_batch(engine, scs, loss, gammas=gammas)
             for i, (pos, gt) in enumerate(zip(tags, gains)):
                 assert rel_err(g_batch[i], model.one_way(pos, gt, scs, loss)) <= 1e-9
 
@@ -140,38 +143,9 @@ class TestBatchCrossCheck:
         antenna, tags, gains, images, scs, loss = random_case(rng)
         _, engine = build_pair(antenna, tags, gains, images)
         base = engine.static_base(loss)
-        via_base = engine.one_way_batch(scs, base=base)
-        direct = engine.one_way_batch(scs, direct_extra_loss_db=loss)
+        via_base = one_way_batch(engine, scs, base=base)
+        direct = one_way_batch(engine, scs, direct_extra_loss_db=loss)
         assert np.array_equal(via_base, direct)
-
-
-class TestSinglePathBitIdentity:
-    def test_one_way_single_exactly_equals_scalar_model(self):
-        rng = np.random.default_rng(31337)
-        for _ in range(30):
-            antenna, tags, gains, images, scs, loss = random_case(rng)
-            model, engine = build_pair(antenna, tags, gains, images)
-            for i, (pos, gt) in enumerate(zip(tags, gains)):
-                assert engine.one_way_single(i, scs, loss) == model.one_way(
-                    pos, gt, scs, loss
-                )
-
-    def test_roundtrip_single_exactly_equals_scalar_model(self):
-        rng = np.random.default_rng(404)
-        for _ in range(10):
-            antenna, tags, gains, images, scs, loss = random_case(rng)
-            model, engine = build_pair(antenna, tags, gains, images)
-            for i, (pos, gt) in enumerate(zip(tags, gains)):
-                assert engine.roundtrip_single(
-                    i, 1.0, 0.25, scs, loss
-                ) == model.roundtrip(1.0, pos, gt, 0.25, scs, loss)
-
-    def test_static_occlusion_constructor_knob(self):
-        rng = np.random.default_rng(8)
-        antenna, tags, gains, images, scs, _ = random_case(rng)
-        model, engine = build_pair(antenna, tags, gains, images, occlusion_db=4.0)
-        for i, (pos, gt) in enumerate(zip(tags, gains)):
-            assert engine.one_way_single(i, scs) == model.one_way(pos, gt, scs)
 
 
 def _per_point_occlusion(antenna_position, tag_positions, pose):
@@ -306,18 +280,98 @@ class TestOcclusionRows:
             assert rows[i] > 5.0
 
 
+def _pose_at(template, xyz):
+    """``template`` (every HandPose parameter) placed at ``xyz``."""
+    return dataclasses.replace(template, position=Vec3(*xyz))
+
+
+class TestRowKernelBitIdentity:
+    """``backscatter_rows`` against one ``ChannelModel`` per row, built on
+    that row's fluttered reflector coefficients."""
+
+    def test_rows_equal_channel_model_roundtrip(self):
+        rng = np.random.default_rng(2718)
+        m = 40
+        shadow_seen = set()
+        detune_seen = set()
+        for case in range(32):
+            antenna, tags, gains, images, _, _ = random_case(rng)
+            _, engine = build_pair(antenna, tags, gains, images)
+            tag_idx = rng.integers(0, len(tags), m)
+            loss = rng.choice([0.0, 3.5, 11.0], m)
+            direct_amp = np.array(
+                [
+                    a * math.sqrt(db_to_linear(-l)) if l > 0.0 else a
+                    for a, l in zip(engine.a_direct_np[tag_idx].tolist(), loss.tolist())
+                ]
+            )
+            tx = float(rng.uniform(0.5, 2.0))
+            eff = rng.uniform(0.1, 0.4, m)
+            sqrt_te = np.array([math.sqrt(tx * e) for e in eff.tolist()])
+            g_re = rng.uniform(-0.4, 0.4, (m, len(images)))
+            g_im = rng.uniform(-0.4, 0.4, (m, len(images)))
+            # A reflector at exactly zero carries no phase term.
+            g_re[::5] = 0.0
+            g_im[::5] = 0.0
+            template = hand_xyz = None
+            if case % 4:
+                template = dataclasses.replace(
+                    _random_template(rng),
+                    shadow_depth_db=float(rng.choice([0.0, 12.0])),
+                    detune_rad=float(rng.choice([0.0, 2.4])),
+                )
+                shadow_seen.add(template.shadow_depth_db > 0.0)
+                detune_seen.add(template.detune_rad != 0.0)
+                hand_xyz = rng.uniform(-0.25, 0.25, (m, 3))
+                # Degenerate hops: the hand on its row's tag (d2 = 0) and
+                # at the antenna (d1 = 0).
+                hand_xyz[0] = tags[int(tag_idx[0])].as_tuple()
+                hand_xyz[1] = antenna.position.as_tuple()
+            # Degenerate hops divide by zero before the mask drops them.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s_re, s_im, detune = engine.backscatter_rows(
+                    tag_idx, direct_amp, sqrt_te, g_re, g_im,
+                    hand_xyz=hand_xyz, template=template,
+                )
+            for i in range(m):
+                t = int(tag_idx[i])
+                model = ChannelModel(
+                    antenna,
+                    WAVELENGTH,
+                    [
+                        (pos, complex(g_re[i, j], g_im[i, j]))
+                        for j, (pos, _) in enumerate(images)
+                    ],
+                )
+                scs = (
+                    []
+                    if template is None
+                    else _pose_at(template, hand_xyz[i].tolist()).scatterers()
+                )
+                want = model.roundtrip(
+                    tx, tags[t], gains[t], float(eff[i]), scs, float(loss[i])
+                )
+                assert complex(s_re[i], s_im[i]) == want
+                assert detune[i] == detuning_phase_rad(tags[t], scs)
+        assert shadow_seen == {True, False} and detune_seen == {True, False}
+
+
 class TestEngineCounters:
     def test_drain_counters_counts_and_resets(self):
         rng = np.random.default_rng(3)
-        antenna, tags, gains, images, scs, loss = random_case(rng)
+        antenna, tags, gains, images, _, loss = random_case(rng)
         _, engine = build_pair(antenna, tags, gains, images)
         engine.drain_counters()
-        engine.one_way_batch(scs, loss)
-        engine.one_way_single(0, scs, loss)
+        engine.scene_powers(engine.static_base(loss), 1.0, 0.9)
+        rows = np.array([0, 0, len(tags) - 1])
+        no_flutter = np.zeros((3, len(images)))
+        engine.backscatter_rows(
+            rows, engine.a_direct_np[rows], np.ones(3), no_flutter, no_flutter
+        )
         counters = engine.drain_counters()
-        assert counters["batch_calls"] == 1
-        assert counters["single_calls"] == 1
-        assert counters["tags_evaluated"] == len(tags)
+        assert counters["batch_calls"] == 2
+        assert counters["single_calls"] == 3
+        assert counters["tags_evaluated"] == len(tags) + 3
         assert engine.drain_counters() == {
             "batch_calls": 0,
             "single_calls": 0,
@@ -328,7 +382,7 @@ class TestEngineCounters:
 class TestScenePowers:
     def test_bitwise_equals_one_way_batch_under_per_tag_loss(self):
         # The reader's LOS readability: scene_powers over the base built
-        # for a per-tag loss must equal the general one_way_batch route.
+        # for a per-tag loss must equal the general batch reference.
         rng = np.random.default_rng(408)
         for _ in range(40):
             antenna, tag_positions, tag_gains, images, _, _ = random_case(rng)
@@ -350,7 +404,7 @@ class TestScenePowers:
                     hand_sc.shadow_vertical_scale,
                 ),
             )
-            g = engine.one_way_batch(pose.scatterers(), loss)
+            g = one_way_batch(engine, pose.scatterers(), loss)
             want = 1.3 * np.abs(g * 0.56) ** 2
             assert got.tobytes() == want.tobytes()
 

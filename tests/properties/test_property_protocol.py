@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rfid.protocol import Gen2Inventory, QAlgorithm
+from repro.rfid.protocol import QAlgorithm
+
+from ..rfid.collect_oracles import Gen2Inventory
 
 
 @given(

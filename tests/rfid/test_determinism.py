@@ -1,15 +1,15 @@
-"""Determinism regression tests for the vectorized channel engine.
+"""Determinism regression tests for the reader's collection path.
 
-Two bit-identity contracts guard the engine refactor:
+Two bit-identity contracts guard it:
 
 * **Seed determinism** — the same scenario seed produces a byte-for-byte
   identical :class:`ReportLog` on every run (the simulator consumes one
   deterministic RNG stream; no hidden ordering or wall-clock state).
-* **Engine transparency** — running the reader with the vectorized
-  engine (``use_engine=True``) or the scalar reference path
-  (``use_engine=False``) yields *bit-identical* logs: the per-slot
-  observation path is scalar in both cases and all random draws happen
-  in the same order.
+* **Engine transparency** — the reader and the scalar reference collect
+  (:func:`~tests.rfid.collect_oracles.scalar_collect`: slot-by-slot MAC,
+  per-tag ``ChannelModel`` readability, one ``ChannelModel`` per read)
+  yield *bit-identical* logs: all random draws happen in the same order
+  and every reported value is the same float.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from repro.physics.hand import HandPose
 from repro.rfid.reports import ReportLog
 from repro.sim.scenario import ScenarioConfig, build_scenario
 
+from .collect_oracles import scalar_collect
+
 
 def _writing_pose(t: float) -> HandPose:
     return HandPose(
@@ -35,8 +37,10 @@ def _writing_pose(t: float) -> HandPose:
 
 def _collect_log(seed: int, mount: str, use_engine: bool) -> ReportLog:
     scenario = build_scenario(ScenarioConfig(seed=seed, mount=mount, location=2))
-    reader = scenario.make_reader(use_engine=use_engine)
-    return reader.collect(1.2, _writing_pose)
+    reader = scenario.make_reader()
+    if use_engine:
+        return reader.collect(1.2, _writing_pose)
+    return scalar_collect(reader, 1.2, _writing_pose)
 
 
 def _as_tuples(log: ReportLog):
@@ -77,19 +81,21 @@ class TestEngineTransparency:
     def test_static_collection_bit_identical(self):
         sc_e = build_scenario(ScenarioConfig(seed=5, mount="nlos", location=3))
         sc_s = build_scenario(ScenarioConfig(seed=5, mount="nlos", location=3))
-        log_e = sc_e.make_reader(use_engine=True).collect_static(1.0)
-        log_s = sc_s.make_reader(use_engine=False).collect_static(1.0)
+        log_e = sc_e.make_reader().collect_static(1.0)
+        log_s = scalar_collect(sc_s.make_reader(), 1.0)
         assert _as_tuples(log_e) == _as_tuples(log_s)
 
 
 def _letter_log(seed: int, location: int, letter: str, use_engine: bool) -> ReportLog:
-    """One LOS letter session driven by a real WritingScript: the engine
-    reader resolves its poses through ``pose_at_many``, the scalar reader
+    """One LOS letter session driven by a real WritingScript: the reader
+    resolves its poses through ``pose_at_many``, the scalar reference
     calls ``hand_pose_at`` per slot."""
     scenario = build_scenario(ScenarioConfig(seed=seed, mount="los", location=location))
-    reader = scenario.make_reader(use_engine=use_engine)
+    reader = scenario.make_reader()
     script = script_for_letter(letter, np.random.default_rng(1000 + seed))
-    return reader.collect(script.duration, script.hand_pose_at)
+    if use_engine:
+        return reader.collect(script.duration, script.hand_pose_at)
+    return scalar_collect(reader, script.duration, script.hand_pose_at)
 
 
 #: Two arm geometries (the default, and a lower, sideways forearm).
@@ -121,8 +127,13 @@ class TestLosEngineTransparency:
         logs = []
         for use_engine in (True, False):
             scenario = build_scenario(ScenarioConfig(seed=13, mount="los", location=3))
-            reader = scenario.make_reader(use_engine=use_engine)
-            logs.append(_as_tuples(reader.collect(1.2, _switching_pose)))
+            reader = scenario.make_reader()
+            log = (
+                reader.collect(1.2, _switching_pose)
+                if use_engine
+                else scalar_collect(reader, 1.2, _switching_pose)
+            )
+            logs.append(_as_tuples(log))
         engine, scalar = logs
         times = [row[2] for row in engine]
         # Reads land in all three phases of the window.

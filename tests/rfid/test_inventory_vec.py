@@ -5,10 +5,10 @@ Three contracts pin :class:`RoundBatchInventory` to the scalar reference:
 * **MAC stream identity** — fed the same RNG, the round-batched engine
   produces the exact success ``(time, winner)`` sequence, statistics,
   clock, Q state, *and leaves the RNG generator in the same state* as
-  :class:`Gen2Inventory`.  Everything downstream (channel draws, noise
-  draws) then consumes an identical stream by construction.
-* **Golden report streams** — full reader sessions on the default
-  (batched) path and under ``REPRO_SCALAR_INVENTORY=1`` emit
+  the scalar reference ``Gen2Inventory``.  Everything downstream (channel
+  draws, noise draws) then consumes an identical stream by construction.
+* **Golden report streams** — full reader sessions and the scalar
+  reference collect (``collect_oracles.scalar_collect``) emit
   byte-for-byte equal :class:`ReportLog` rows, across seeds, link
   profiles, and hand scripts.
 * **Single pose evaluation** — the batched collect path evaluates the
@@ -25,13 +25,10 @@ import pytest
 from repro.motion.script import script_for_letter, script_for_motion
 from repro.motion.strokes import Direction, Motion, StrokeKind
 from repro.rfid.inventory_vec import RoundBatchInventory
-from repro.rfid.protocol import (
-    Gen2Inventory,
-    PROFILE_DENSE,
-    PROFILE_FAST,
-    PROFILE_FAST_SHORT,
-)
+from repro.rfid.protocol import PROFILE_DENSE, PROFILE_FAST, PROFILE_FAST_SHORT
 from repro.sim.scenario import ScenarioConfig, build_scenario
+
+from .collect_oracles import Gen2Inventory, scalar_collect
 
 
 def _scalar_events(inv: Gen2Inventory, end: float, readable):
@@ -146,8 +143,9 @@ _PROFILES = {
 }
 
 
-def _session_tuples(seed: int, profile_name: str, script_kind: str):
-    """One full reader session's report rows, as exact-value tuples."""
+def _session_tuples(seed: int, profile_name: str, script_kind: str, scalar: bool):
+    """One full session's report rows, as exact-value tuples: the reader's
+    collect, or the scalar reference collect when ``scalar``."""
     scenario = build_scenario(
         ScenarioConfig(seed=seed, mount="nlos", location=2,
                        link_profile=_PROFILES[profile_name])
@@ -159,7 +157,10 @@ def _session_tuples(seed: int, profile_name: str, script_kind: str):
         )
     else:
         script = script_for_letter("T", scenario.rng)
-    log = reader.collect(script.duration, script.hand_pose_at)
+    if scalar:
+        log = scalar_collect(reader, script.duration, script.hand_pose_at)
+    else:
+        log = reader.collect(script.duration, script.hand_pose_at)
     return [
         (r.epc, r.tag_index, r.timestamp, r.phase_rad, r.rss_dbm,
          r.doppler_hz, r.antenna_port)
@@ -171,13 +172,9 @@ class TestGoldenStreams:
     @pytest.mark.parametrize("script_kind", ["motion", "letter"])
     @pytest.mark.parametrize("profile_name", ["dense", "fast", "fast_short"])
     @pytest.mark.parametrize("seed", [7, 23])
-    def test_batched_matches_scalar_inventory(
-        self, monkeypatch, seed, profile_name, script_kind
-    ):
-        monkeypatch.delenv("REPRO_SCALAR_INVENTORY", raising=False)
-        batched = _session_tuples(seed, profile_name, script_kind)
-        monkeypatch.setenv("REPRO_SCALAR_INVENTORY", "1")
-        scalar = _session_tuples(seed, profile_name, script_kind)
+    def test_batched_matches_scalar_inventory(self, seed, profile_name, script_kind):
+        batched = _session_tuples(seed, profile_name, script_kind, scalar=False)
+        scalar = _session_tuples(seed, profile_name, script_kind, scalar=True)
         assert len(batched) > 0
         assert batched == scalar  # byte-for-byte (exact floats + strings)
 

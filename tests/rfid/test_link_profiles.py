@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from repro.rfid.protocol import (
-    Gen2Inventory,
     LinkProfile,
     PROFILE_DENSE,
     PROFILE_FAST,
     PROFILE_FAST_SHORT,
     PROFILE_ROBUST,
 )
+
+from .collect_oracles import Gen2Inventory
 
 
 def test_profile_validation():

@@ -253,11 +253,6 @@ def test_workspace_session_equals_per_slice_collects(mount, tiles):
     _session_equals_per_slice(base, *tiles, letters="LTA")
 
 
-def test_scalar_inventory_equals_per_slice_collects(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALAR_INVENTORY", "1")
-    _session_equals_per_slice(ScenarioConfig(seed=5), 2, 1, letters="L")
-
-
 def test_collect_shorter_than_one_dwell_leaves_idle_port_untouched():
     from repro.sim.workspace import WorkspaceConfig, build_workspace
 

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from repro.rfid.protocol import (
-    Gen2Inventory,
     QAlgorithm,
     SUCCESS_SLOT_S,
     expected_round_efficiency,
 )
+
+from .collect_oracles import Gen2Inventory
 
 
 class TestQAlgorithm:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,62 @@ def test_one_bulk_append_is_sized_exactly():
     log = ReportLog()
     log.extend_columns(ts, np.zeros(500, dtype=np.int64), ts, ts, ts, ["E"] * 500)
     assert log.columns()[0].base.size == 500
+
+
+# -- pickling: how logs travel back from battery worker processes -----------
+
+
+def _collected_log():
+    from repro.sim.scenario import ScenarioConfig, build_scenario
+
+    return build_scenario(ScenarioConfig(seed=3)).make_reader().collect_static(0.3)
+
+
+def _staged_log():
+    # A bulk block, then single-row appends still staged (one out of order).
+    log = ReportLog()
+    ts = np.linspace(0.0, 1.0, 20)
+    log.extend_columns(ts, np.arange(20) % 5, ts, ts, ts, ["E"] * 20)
+    log.append(_report(2, 3.0))
+    log.append(_report(1, 2.5))
+    return log
+
+
+def _view_log():
+    log, _ = _random_log(np.random.default_rng(5))
+    return log.slice_time(2.0, 6.0)
+
+
+def _dropped_log():
+    # A dead prefix smaller than the live part stays in the buffers: the
+    # live reads start at an offset.
+    log = ReportLog()
+    ts = np.linspace(0.0, 9.9, 100)
+    log.extend_columns(ts, np.arange(100) % 5, ts, ts, ts, ["E"] * 100)
+    assert log.drop_before(3.0) == 30
+    assert log.columns()[0].base.size > len(log)
+    return log
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_collected_log, _staged_log, _view_log, _dropped_log, ReportLog],
+    ids=["collect", "staged", "view", "dropped", "empty"],
+)
+def test_pickle_round_trip(make):
+    log = make()
+    copy = pickle.loads(pickle.dumps(log))
+    want = [col.copy() for col in log.columns()]
+    assert len(copy) == len(log)
+    for got, ref in zip(copy.columns(), want):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+    # The copy owns its buffers: appending to it leaves the original as is.
+    copy.append(_report(4, 100.0))
+    copy.extend_columns(np.array([101.0]), np.array([3]), np.zeros(1), np.zeros(1),
+                        np.zeros(1), ["E-0003"])
+    assert len(copy) == len(log) + 2
+    assert len(log) == len(want[0])
+    for col, ref in zip(log.columns(), want):
+        assert col.dtype == ref.dtype
+        assert np.array_equal(col, ref)

@@ -133,3 +133,29 @@ class TestChunkLayoutInvariance:
         runner = SessionRunner(build_scenario(ScenarioConfig(seed=11)))
         with pytest.raises(ValueError):
             runner.run_motion_battery(all_motions()[:1], 1, workers=2)
+
+
+def _assert_logs_equal(a, b) -> None:
+    ca, cb = a.columns(), b.columns()
+    for va, vb in zip(ca, cb):
+        if isinstance(va, np.ndarray):
+            assert np.array_equal(va, vb)
+            assert va.dtype == vb.dtype
+        else:
+            assert list(va) == list(vb)
+
+
+class TestBatteryLogTransport:
+    def test_parallel_collect_logs_equal_workers1(self):
+        from repro.motion.strokes import all_motions
+        from repro.sim.runner import SessionRunner
+        from repro.sim.scenario import ScenarioConfig, build_scenario
+
+        motions = all_motions()[:2]
+        r1 = SessionRunner(build_scenario(ScenarioConfig(seed=29)))
+        t1 = r1.run_motion_battery(motions, 1, workers=1, collect_logs=True)
+        r2 = SessionRunner(build_scenario(ScenarioConfig(seed=29)))
+        t2 = r2.run_motion_battery(motions, 1, workers=2, collect_logs=True)
+        assert all(t.log is not None and len(t.log) > 0 for t in t1)
+        for a, b in zip(t1, t2):
+            _assert_logs_equal(a.log, b.log)
