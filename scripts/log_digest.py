@@ -10,7 +10,7 @@ bit-identical between two checkouts.
 Per deployment it hashes the calibration log, the serial motion and letter
 batteries (one shared RNG stream, solo ``Reader.collect``) and
 ``run_motion_batch``/``run_letter_batch`` over per-trial streams (the
-trial-axis ``collect_batch`` path); then, per mount, the per-tile logs
+``collect_batch`` path); then, per mount, the per-tile logs
 (``Workspace.collect_tiles``) of one letter on a fresh 2x1 workspace, of a
 2x1 session (its calibration collect, then three consecutive letters, so
 RNG and Doppler state carry between collects) and of one 2x2 letter.

@@ -333,7 +333,6 @@ def run_multipad(fast: bool = True, seed: int = 7) -> ExperimentResult:
         expectation_met=met,
     )
     result.notes.append(
-        f"vectorized engine path: {mux.vectorized}; "
         f"multipad_trials_per_s {trials_per_s:.2f}; "
         f"stitch_trajectory_err_cm {stitch_err_cm:.2f}"
     )

@@ -30,6 +30,11 @@ from .strokes import (
 from .user import DEFAULT_USER, UserProfile
 
 
+#: Largest :meth:`WritingScript.pose_at_many` batch answered by the scalar
+#: clock (the inventory loop's readability checks ask for 1-64 times).
+_SCALAR_BATCH = 16
+
+
 @dataclass(frozen=True)
 class Segment:
     """One timed piece of a session."""
@@ -144,8 +149,14 @@ class WritingScript:
         ``Vec3.lerp`` operand order (degenerate rows — before the first
         sample, after the last, zero-length intervals — select the endpoint
         sample directly rather than re-deriving it arithmetically).
+
+        A batch of at most :data:`_SCALAR_BATCH` times runs the scalar
+        clock once per time instead: below that size the per-segment
+        numpy masks cost more than the scalar lookups they replace.
         """
         tq = np.ascontiguousarray(times, dtype=float)
+        if tq.size <= _SCALAR_BATCH:
+            return PoseTrack.from_poses(tq, [self.hand_pose_at(t) for t in tq.tolist()])
         m = tq.size
         present = np.zeros(m, dtype=bool)
         xyz = np.zeros((m, 3))

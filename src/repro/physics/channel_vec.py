@@ -3,24 +3,26 @@
 :class:`ChannelModel` evaluates the coherent ray sum (Eqs. 1-8) one tag at
 a time in scalar Python — the right shape for tests and for reasoning, but
 the simulation hot path asks the opposite question: *given one scene, what
-does every tag see?*  Readability is re-evaluated for all 25 tags at every
-inventory round, and the paper-scale batteries replay hundreds of such
-sessions.
+does every tag see?*  Every inventory round runs on the readable set of
+all 25 tags at its start, and the paper-scale batteries replay hundreds of
+such sessions.
 
-:class:`ChannelEngine` answers that question once per scene with numpy:
-all static geometry — antenna→tag distances, pattern gains, image-antenna
-distances, Friis amplitudes — is resolved **once per deployment** at
-construction, so a per-round evaluation touches only the pose-dependent
-terms (scatterer hops, near-field shadow, LOS occlusion factors).
+:class:`ChannelEngine` answers that question for many scenes at once with
+numpy: all static geometry — antenna→tag distances, pattern gains,
+image-antenna distances, Friis amplitudes — is resolved **once per
+deployment** at construction, so an evaluation touches only the
+pose-dependent terms (scatterer hops, near-field shadow, LOS occlusion
+factors), one row per round of a checked block.
 
 Contract with the scalar reference
 ----------------------------------
 ``ChannelModel`` stays the reference implementation, and the engine's
 static amplitudes come from its own helpers.  The engine has two paths:
 
-* :meth:`scene_powers` / :meth:`scene_powers_trials` — per-round
-  readability over the whole array.  They repeat the elementwise
-  operations of the whole-population batch reference kept with the tests
+* :meth:`scene_powers_trials` (and its one-row case
+  :meth:`scene_powers`) — readability over the whole array, one row per
+  inventory round.  It repeats the elementwise operations of the
+  whole-population batch reference kept with the tests
   (``tests/physics/channel_oracles.py``), bit for bit, and that reference
   matches ``ChannelModel`` to <= 1e-9 relative error;
 * :meth:`backscatter_rows` — the per-read roundtrip of every successful
@@ -171,14 +173,15 @@ class ChannelEngine:
     ) -> np.ndarray:
         """Precompute the direct + nominal-reflector sum for a fixed loss.
 
-        ``direct_extra_loss_db`` is a scalar or per-tag ``(N,)`` vector of
-        extra direct-path losses (static coupling shadow + LOS occlusion).
-        The result is the ``base`` argument of :meth:`scene_powers` for any
-        scene whose direct-path loss equals it and whose reflection
-        coefficients are nominal — i.e. the per-round readability checks of
-        a deployment whose only dynamics are the hand.  With the loss fixed
-        for the deployment's life it is cached once; an LOS reader
-        recomputes it per pose with the arm-occlusion loss added.
+        ``direct_extra_loss_db`` is a scalar, a per-tag ``(N,)`` vector or
+        a ``(K, N)`` stack of extra direct-path losses (static coupling
+        shadow + LOS occlusion), elementwise alike.  The result is the
+        ``base`` argument of :meth:`scene_powers_trials` for any scene
+        whose direct-path loss equals it and whose reflection coefficients
+        are nominal — i.e. the readability checks of a deployment whose
+        only dynamics are the hand.  With the loss fixed for the
+        deployment's life it is cached once; an LOS reader recomputes it
+        per checked round with the arm-occlusion loss added.
         """
         g = self.a_direct_np * self._direct_loss_factor(direct_extra_loss_db) * self.exp_direct_np
         return g + self._nominal_reflector_sum
@@ -193,73 +196,18 @@ class ChannelEngine:
         rcs: "np.ndarray | None" = None,
         shadow: "Tuple[float, float, float] | None" = None,
     ) -> np.ndarray:
-        """Per-tag incident powers for a static base plus an optional hand.
+        """Per-tag incident powers for a static base plus an optional hand:
+        the one-row case of :meth:`scene_powers_trials`.
 
-        The per-round readability path: element-for-element the same
-        numpy operations as the whole-population batch reference in
-        ``tests/physics/channel_oracles.py`` (scatterer hops over a
-        hand + arm-point group) followed by the reader's power expression — so the resulting readable *set* is
-        identical — but fed from precomputed template arrays instead of
-        per-round ``Scatterer`` / ``Vec3`` object graphs.  ``offsets`` is the ``(S, 3)`` block of
-        scatterer displacements from the hand position (row 0 is zeros: the
-        hand itself), ``rcs`` the matching RCS column, ``shadow`` the
-        hand's ``(depth_db, lateral_scale, vertical_scale)``.
+        ``hand_xyz`` is one hand position (``None``: no hand, the powers of
+        ``base`` alone); the template arguments are as there.
         """
-        self.batch_calls += 1
-        self.tags_evaluated += len(self.tag_positions_np)
-        g = base
-        if hand_xyz is not None:
-            px, py, pz = hand_xyz
-            # position + cached u*k offsets: the same float adds as
-            # HandPose.arm_points; row 0 is assigned directly so a signed
-            # zero in the position survives untouched.
-            sc_pos = np.array((px, py, pz)) + offsets
-            sc_pos[0, 0] = px
-            sc_pos[0, 1] = py
-            sc_pos[0, 2] = pz
-            diff0 = sc_pos - self._ant_np
-            d1 = np.sqrt(np.einsum("ij,ij->i", diff0, diff0))
-            diff = self.tag_positions_np[None, :, :] - sc_pos[:, None, :]
-            d2 = np.sqrt(np.einsum("snk,snk->sn", diff, diff))
-            if d1.min() > 0.0 and d2.min() > 0.0:
-                # All hops valid (the overwhelmingly common case): the
-                # guarded ``where`` selections of the batch reference reduce to
-                # identity, so skipping them leaves every element bitwise
-                # unchanged while saving the mask dispatches.
-                d1_safe = d1
-                d2_safe = d2
-                valid = None
-            else:
-                d1_safe = np.where(d1 > 0.0, d1, 1.0)
-                valid = (d1[:, None] > 0.0) & (d2 > 0.0)
-                d2_safe = np.where(valid, d2, 1.0)
-            cos_t = np.clip((diff0 @ self._boresight_np) / d1_safe, -1.0, 1.0)
-            if self._pattern_n > 0.0:
-                pattern = np.maximum(
-                    np.maximum(cos_t, 0.0) ** self._pattern_n, self._back_lobe
-                )
-            else:
-                pattern = np.where(cos_t >= 0.0, 1.0, self._back_lobe)
-            gr_sc = self._gain_linear * pattern
-            amp = np.sqrt(
-                (gr_sc * rcs)[:, None] * self.tag_gains_np * self._scatter_const
-            ) / (d1_safe[:, None] * d2_safe)
-            contrib = amp * np.exp(self._neg_jk * (d1_safe[:, None] + d2_safe))
-            if valid is not None and not valid.all():
-                contrib = np.where(valid, contrib, 0.0)
-            g = g + contrib.sum(axis=0)
-
-            depth, ls, vs = shadow
-            if depth > 0.0:
-                p = self.tag_positions_np
-                lateral = np.hypot(px - p[:, 0], py - p[:, 1])
-                vertical = np.abs(pz - p[:, 2])
-                shadow_db = depth * np.exp(
-                    -0.5 * (lateral / ls) ** 2 - 0.5 * (vertical / vs) ** 2
-                )
-                if np.any(shadow_db > 0.0):
-                    g = g * np.where(shadow_db > 0.0, 10.0 ** (-shadow_db / 20.0), 1.0)
-        return tx_power_w * np.abs(g * one_way_loss) ** 2
+        if hand_xyz is None:
+            self._count_rows(1)
+            return tx_power_w * np.abs(base * one_way_loss) ** 2
+        return self._powers(
+            base, tx_power_w, one_way_loss, np.array([hand_xyz]), offsets, rcs, shadow
+        )[0]
 
     def scene_powers_trials(
         self,
@@ -271,31 +219,53 @@ class ChannelEngine:
         rcs: np.ndarray,
         shadow: "Tuple[float, float, float]",
     ) -> np.ndarray:
-        """Per-tag incident powers for T independent trials in one evaluation.
+        """Per-tag incident powers for K hand positions in one evaluation.
 
-        The trial-axis counterpart of :meth:`scene_powers`: ``hand_xyz`` is
-        a ``(T, 3)`` block of hand positions — one row per trial lane — and
-        the result is ``(T, N)`` powers.  All lanes share the deployment's
-        precomputed static geometry and the same scatterer *template*
-        (``offsets``/``rcs``/``shadow``), which is what makes one numpy
-        dispatch advance many trials.  ``base`` is one ``(N,)`` base shared
-        by every lane, or a ``(T, N)`` stack of per-lane bases (LOS lanes,
-        each under its own arm occlusion).
+        The readability kernel: ``hand_xyz`` is a ``(K, 3)`` block of hand
+        positions — the reader passes one row per inventory round of a
+        checked block — and the result is ``(K, N)`` powers.  Element for
+        element it runs the numpy operations of the whole-population batch
+        reference in ``tests/physics/channel_oracles.py`` (scatterer hops
+        over a hand + arm-point group, then the near-field shadow),
+        followed by the reader's power expression, fed from precomputed
+        template arrays instead of per-round ``Scatterer`` / ``Vec3``
+        object graphs.  All rows share the deployment's static geometry
+        and one scatterer *template*: ``offsets`` is the ``(S, 3)`` block
+        of scatterer displacements from the hand (row 0 zeros: the hand
+        itself), ``rcs`` the matching RCS column, ``shadow`` the hand's
+        ``(depth_db, lateral_scale, vertical_scale)``.  ``base`` is one
+        ``(N,)`` direct + reflector base shared by every row, or a
+        ``(K, N)`` stack (LOS rows, each under its own arm occlusion).
 
-        Bit-identity contract: every row equals the corresponding solo
-        ``scene_powers(base, ..., hand_xyz[t], ...)`` result bit-for-bit,
-        because the batched expressions are the same elementwise ufunc
-        chains (``+ - * /``, ``np.sqrt``, fixed-order ``einsum`` dot
-        products, ``np.exp`` on identical complex inputs) evaluated
-        per-lane — numpy's elementwise kernels do not change results with
-        the leading batch shape.  Counters advance as if each lane had been
-        evaluated solo, so telemetry totals are lane-equivalent.
+        Every row is bit-equal to a one-row call: the expressions are
+        elementwise ufunc chains (``+ - * /``, ``np.sqrt``, fixed-order
+        ``einsum`` dot products, ``np.exp`` on identical complex inputs)
+        whose results do not depend on the leading batch shape.  Counters
+        advance by K rows.
         """
-        t = hand_xyz.shape[0]
-        self.batch_calls += t
-        self.tags_evaluated += t * len(self.tag_positions_np)
-        # position + cached u*k offsets per lane; row 0 of every lane is
-        # assigned directly so signed zeros in the position survive.
+        return self._powers(
+            base, tx_power_w, one_way_loss, hand_xyz, offsets, rcs, shadow
+        )
+
+    def _count_rows(self, rows: int) -> None:
+        self.batch_calls += rows
+        self.tags_evaluated += rows * len(self.tag_positions_np)
+
+    def _powers(
+        self,
+        base: np.ndarray,
+        tx_power_w: float,
+        one_way_loss: float,
+        hand_xyz: np.ndarray,
+        offsets: np.ndarray,
+        rcs: np.ndarray,
+        shadow: "Tuple[float, float, float]",
+    ) -> np.ndarray:
+        """The body of :meth:`scene_powers_trials` (and of a one-row
+        :meth:`scene_powers`), so each public call is one timed call."""
+        self._count_rows(hand_xyz.shape[0])
+        # position + cached u*k offsets per row; row 0 of every row's group
+        # is assigned directly so signed zeros in the position survive.
         sc_pos = hand_xyz[:, None, :] + offsets[None, :, :]
         sc_pos[:, 0, :] = hand_xyz
         diff0 = sc_pos - self._ant_np
@@ -303,6 +273,10 @@ class ChannelEngine:
         diff = self.tag_positions_np[None, None, :, :] - sc_pos[:, :, None, :]
         d2 = np.sqrt(np.einsum("tsnk,tsnk->tsn", diff, diff))
         if d1.min() > 0.0 and d2.min() > 0.0:
+            # All hops valid (the overwhelmingly common case): the guarded
+            # ``where`` selections of the batch reference reduce to
+            # identity, so skipping them leaves every element bitwise
+            # unchanged while saving the mask dispatches.
             d1_safe = d1
             d2_safe = d2
             valid = None
@@ -310,7 +284,10 @@ class ChannelEngine:
             d1_safe = np.where(d1 > 0.0, d1, 1.0)
             valid = (d1[:, :, None] > 0.0) & (d2 > 0.0)
             d2_safe = np.where(valid, d2, 1.0)
-        cos_t = np.clip((diff0 @ self._boresight_np) / d1_safe, -1.0, 1.0)
+        # np.clip(x, -1.0, 1.0) element for element, without its wrapper.
+        cos_t = np.minimum(
+            np.maximum((diff0 @ self._boresight_np) / d1_safe, -1.0), 1.0
+        )
         if self._pattern_n > 0.0:
             pattern = np.maximum(
                 np.maximum(cos_t, 0.0) ** self._pattern_n, self._back_lobe
@@ -336,8 +313,9 @@ class ChannelEngine:
             shadow_db = depth * np.exp(
                 -0.5 * (lateral / ls) ** 2 - 0.5 * (vertical / vs) ** 2
             )
-            if np.any(shadow_db > 0.0):
-                g = g * np.where(shadow_db > 0.0, 10.0 ** (-shadow_db / 20.0), 1.0)
+            shadowed = shadow_db > 0.0
+            if shadowed.any():
+                g = g * np.where(shadowed, 10.0 ** (-shadow_db / 20.0), 1.0)
         return tx_power_w * np.abs(g * one_way_loss) ** 2
 
     # ------------------------------------------------------------------

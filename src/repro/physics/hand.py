@@ -240,31 +240,34 @@ class SightLines(NamedTuple):
 
 
 def occlusion_loss_db_batch(lines: SightLines, body_xyz: np.ndarray) -> np.ndarray:
-    """:func:`occlusion_loss_db` of every tag for one ``(S, 3)`` set of body
-    points (the hand and its arm points) — the readability tier.
+    """:func:`occlusion_loss_db` of every tag for a stack of body-point sets
+    — the readability tier.
 
-    All points run in one ``(S, N)`` pass except the projection onto the
-    segments, which stays one ``(p - a) @ ab.T`` product per point: a single
-    ``(S, 3) @ (3, N)`` matmul takes another BLAS kernel whose rounding
-    differs.  Matches the scalar function to floating-point noise (not
-    bit-for-bit: numpy's ``exp`` and norm are not libm's).  No body points
-    (no hand) means no loss.
+    ``body_xyz`` is one pose's ``(S, 3)`` body points (the hand and its arm
+    points), giving ``(N,)`` losses, or a ``(K, S, 3)`` stack of K poses,
+    giving ``(K, N)``; each row of a stack is bit-equal to its one-pose
+    call.  Everything runs elementwise over the stack except the
+    projection onto the segments, which stays one ``(1, 3) @ (3, N)``
+    product per point (numpy runs the same BLAS call for each point of a
+    stacked matmul): a single ``(S, 3) @ (3, N)`` matmul takes another
+    BLAS kernel whose rounding differs.  Matches the scalar function to
+    floating-point noise (not bit-for-bit: numpy's ``exp`` and norm are
+    not libm's).  No body points (no hand) means no loss.
     """
     a, ab, ab_sq = lines
-    proj = np.empty((body_xyz.shape[0], ab.shape[0]))
-    for row, p in enumerate(body_xyz):
-        proj[row] = (p - a) @ ab.T
+    proj = ((body_xyz - a)[..., None, :] @ ab.T)[..., 0, :]
     t = np.divide(proj, ab_sq, out=np.zeros_like(proj), where=ab_sq != 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    closest = a + t[:, :, None] * ab
-    clearance = np.linalg.norm(body_xyz[:, None, :] - closest, axis=2)
+    t = np.minimum(np.maximum(t, 0.0), 1.0)  # np.clip, without its wrapper
+    d = body_xyz[..., None, :] - (a + t[..., None] * ab)
+    # np.linalg.norm(d, axis=-1) for real input, without its wrapper.
+    clearance = np.sqrt(np.add.reduce(d * d, axis=-1))
     loss = OCCLUSION_DEPTH_DB * np.exp(
         -0.5 * (clearance / OCCLUSION_FRESNEL_RADIUS_M) ** 2
     )
-    # A reduction over the outer axis adds the points' rows in order, as a
-    # running ``total += loss`` would (pairwise summation applies only
-    # along the contiguous axis).
-    return loss.sum(axis=0)
+    # A reduction over the points' axis (not the contiguous one) adds their
+    # rows in order, as a running ``total += loss`` would (pairwise
+    # summation applies only along the contiguous axis).
+    return loss.sum(axis=-2)
 
 
 def occlusion_loss_db_rows(

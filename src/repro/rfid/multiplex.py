@@ -127,7 +127,7 @@ class MultiplexedReader:
     Each per-port reader is engine-backed exactly like a solo reader:
     ``Reader`` builds its vectorized ``ChannelEngine`` (with the
     per-deployment ``static_base`` precompute) and round-batched
-    inventory per port unless the scalar-path env overrides are set.
+    inventory per port.
     """
 
     def __init__(
@@ -173,11 +173,6 @@ class MultiplexedReader:
     @property
     def port_count(self) -> int:
         return len(self.readers)
-
-    @property
-    def vectorized(self) -> bool:
-        """True when every port runs the batched channel engine."""
-        return all(r._engine is not None for r in self.readers)
 
     def dwell_totals(self, duration: float) -> List[float]:
         """Planned per-port inventory seconds for a collect of ``duration``."""

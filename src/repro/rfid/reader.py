@@ -34,37 +34,55 @@ from ..physics.multipath import Environment, free_space
 from ..physics.noise import ReceiverNoise, doppler_estimate_hz
 from ..units import DEFAULT_FREQUENCY_HZ, db_to_linear, dbm_to_watts, wavelength
 from .deployment import TagArray
-from .inventory_vec import RoundBatchInventory, TrialAxisInventory
+from .inventory_vec import RoundBatchInventory
 from .protocol import InventoryStats, LinkProfile
 from .reports import ReportLog, TagReadReport
 
 HandPoseFn = Callable[[float], Optional[HandPose]]
 PoseTrackFn = Callable[[np.ndarray], PoseTrack]
 
+#: Longest block of inventory rounds one readability check covers.
+_BLOCK_MAX = 64
+
 
 def _pose_clocks(
     hand_pose_at: Optional[HandPoseFn], pose_at_many: Optional[PoseTrackFn]
-) -> Tuple[HandPoseFn, Optional[PoseTrackFn]]:
+) -> Tuple[Optional[HandPoseFn], Optional[PoseTrackFn]]:
     """The scalar pose clock and, when the source offers one, the
     vectorized one: a bound ``hand_pose_at`` of an object exposing
     ``pose_at_many`` (a :class:`~repro.motion.script.WritingScript`)
-    brings its ``pose_at_many`` along."""
+    brings its ``pose_at_many`` along.  ``(None, None)`` is a hand-free
+    collect."""
     if pose_at_many is None and hand_pose_at is not None:
         owner = getattr(hand_pose_at, "__self__", None)
         if owner is not None:
             pose_at_many = getattr(owner, "pose_at_many", None)
-    pose_at = hand_pose_at if hand_pose_at is not None else (lambda t: None)
-    return pose_at, pose_at_many
+    return hand_pose_at, pose_at_many
+
+
+def _pose_track(
+    times: np.ndarray,
+    pose_at: Optional[HandPoseFn],
+    pose_at_many: Optional[PoseTrackFn],
+) -> PoseTrack:
+    """Poses at ``times``: one vectorized call, or the scalar clock exactly
+    once per time as the fallback."""
+    if pose_at_many is not None:
+        return pose_at_many(times)
+    if pose_at is None:
+        return PoseTrack.from_poses(times, [None] * times.size)
+    return PoseTrack.from_poses(times, [pose_at(t) for t in times.tolist()])
 
 
 @dataclass
 class CollectSpec:
-    """One lane of a trial-axis collect: an independent inventory window.
+    """One lane of :meth:`Reader.collect_batch`: an independent collect
+    window.
 
     ``rng`` is the lane's private generator (the per-trial
     ``SeedSequence(seed, spawn_key=(index,))`` stream); the lane consumes
-    it in exactly the order the solo :meth:`Reader.collect` would, which
-    is what makes lockstep execution bit-identical per lane.
+    it in exactly the order a solo :meth:`Reader.collect` of the window
+    would, which is what makes its log bit-identical to that collect's.
     """
 
     duration: float
@@ -74,30 +92,26 @@ class CollectSpec:
     pose_at_many: Optional[PoseTrackFn] = None
 
 
+@dataclass
 class LaneCollect:
-    """Accumulated MAC output of one lane, awaiting :meth:`Reader.emit_lane`."""
+    """One window's MAC output, awaiting its emit (:meth:`Reader.emit_lane`,
+    or the tail of :meth:`Reader.collect`).
 
-    __slots__ = (
-        "spec", "inv", "end", "pose_at", "pose_at_many",
-        "times", "winners", "z", "n",
-    )
+    ``times``/``winners``/``z`` hold the committed successes in slot order
+    and their draws, one row of ``z`` per read; ``ahead`` counts rounds run
+    ahead of their readability check and ``discarded`` those a mismatch
+    threw away.
+    """
 
-    def __init__(
-        self,
-        spec: CollectSpec,
-        inv: RoundBatchInventory,
-        pose_at: HandPoseFn,
-        pose_at_many: Optional[PoseTrackFn],
-    ) -> None:
-        self.spec = spec
-        self.inv = inv
-        self.end = spec.start_time + spec.duration
-        self.pose_at = pose_at
-        self.pose_at_many = pose_at_many
-        self.times: List[np.ndarray] = []
-        self.winners: List[np.ndarray] = []
-        self.z: List[np.ndarray] = []
-        self.n = 0
+    duration: float
+    pose_at: Optional[HandPoseFn]
+    pose_at_many: Optional[PoseTrackFn]
+    stats: InventoryStats
+    times: np.ndarray
+    winners: np.ndarray
+    z: np.ndarray
+    ahead: int
+    discarded: int
 
 
 @dataclass(frozen=True)
@@ -173,7 +187,7 @@ class Reader:
         self._sens_w: Optional[np.ndarray] = None
         # Direct + nominal-reflector terms under the static per-tag losses:
         # constant for every readability check that adds no occlusion, so
-        # the per-round batch touches only the scatterer/shadow terms.
+        # a check touches only the scatterer/shadow terms.
         self._static_base = self._engine.static_base(self._static_loss_db)
         # LOS arm occlusion is measured against fixed antenna->tag segments.
         self._sight_lines = SightLines.between(
@@ -202,17 +216,18 @@ class Reader:
         deployments (and the failure-injection tests) may kill tags after
         the reader is built.
         """
-        return self._readable_arr(pose).tolist()
+        return np.nonzero(self._scene_powers(pose) >= self._sensitivity_w())[0].tolist()
 
     def _pose_fast_arrays(
         self, pose: HandPose
     ) -> Tuple[np.ndarray, np.ndarray, Tuple[float, float, float]]:
-        """Template arrays for :meth:`ChannelEngine.scene_powers`.
+        """Template arrays for :meth:`ChannelEngine.scene_powers_trials`.
 
         The offsets are the exact ``u * k`` products of
         :meth:`HandPose.arm_points` (row 0 zeros: the hand itself), so
         ``position + offsets`` reproduces the scalar arm-point coordinates
-        bit-for-bit.
+        bit-for-bit.  Only the pose's parameters are read, so a
+        :class:`PoseTrack` template serves as well as a pose.
         """
         key = (
             pose.arm_direction.x, pose.arm_direction.y, pose.arm_direction.z,
@@ -234,76 +249,91 @@ class Reader:
             self._pose_cache[key] = entry
         return entry
 
-    def _pose_base(
-        self, hand_xyz: Tuple[float, float, float], offsets: np.ndarray
-    ) -> np.ndarray:
-        """The direct + nominal-reflector base for one hand pose.
-
-        NLOS: the cached static base.  LOS: the static base recomputed under
-        the pose's arm occlusion (:meth:`ChannelEngine.static_base` with the
-        per-tag loss).  The body points are ``hand + offsets``
-        with row 0 assigned, as :meth:`ChannelEngine.scene_powers` places
-        them.
-        """
-        if not self.config.los_occlusion:
-            return self._static_base
-        body = np.array(hand_xyz) + offsets
-        body[0] = hand_xyz
-        occlusion = occlusion_loss_db_batch(self._sight_lines, body)
-        return self._engine.static_base(self._static_loss_db + occlusion)
-
     def _scene_powers(self, pose: Optional[HandPose]) -> np.ndarray:
-        """Incident power at every tag under ``pose``, watts.
+        """Incident power at every tag under ``pose``, watts: a one-row
+        :meth:`_template_powers`, or the hand-free powers."""
+        if pose is None:
+            return self._static_scene_powers()
+        p = pose.position
+        return self._template_powers(
+            np.array([(p.x, p.y, p.z)]), self._pose_fast_arrays(pose)
+        )[0]
 
-        Every hand pose — both mounts — runs through
-        :meth:`ChannelEngine.scene_powers` with cached template arrays; an
-        LOS pose passes its occluded direct-path base (:meth:`_pose_base`).
-        The hand-free scene (calibration, idle gaps) is fully static, so
-        its powers are computed once and cached.
-        """
-        if pose is None and self._static_powers is not None:
-            return self._static_powers
-        with get_tracer().span("channel.batch", tags=len(self.array.tags)):
-            if pose is not None:
-                offsets, rcs, shadow = self._pose_fast_arrays(pose)
-                p = pose.position
-                hand = (p.x, p.y, p.z)
-                powers = self._engine.scene_powers(
-                    self._pose_base(hand, offsets),
-                    self.config.tx_power_w,
-                    self._one_way_loss,
-                    hand,
-                    offsets,
-                    rcs,
-                    shadow,
-                )
-            else:
-                powers = self._engine.scene_powers(
+    def _static_scene_powers(self) -> np.ndarray:
+        """The hand-free scene (calibration, idle gaps) is fully static, so
+        its powers are computed once and cached."""
+        if self._static_powers is None:
+            with get_tracer().span("channel.batch", tags=len(self.array.tags)):
+                self._static_powers = self._engine.scene_powers(
                     self._static_base, self.config.tx_power_w, self._one_way_loss
                 )
-        if pose is None:
-            self._static_powers = powers
-        return powers
+        return self._static_powers
 
-    def _readable_arr(
-        self, pose: Optional[HandPose], sens_w: Optional[np.ndarray] = None
+    def _template_powers(
+        self,
+        hand_xyz: np.ndarray,
+        template: Tuple[np.ndarray, np.ndarray, Tuple[float, float, float]],
     ) -> np.ndarray:
-        """:meth:`readable_indices` as an int64 index array.
+        """Incident powers ``(K, N)`` for K hand positions under one pose
+        template (:meth:`_pose_fast_arrays`): one
+        :meth:`ChannelEngine.scene_powers_trials` evaluation.
 
-        ``sens_w`` lets a collect window pass the sensitivity vector it
-        resolved once up front — nothing can mutate tag sensitivities
-        *inside* a window (the simulator is single-threaded), only between
-        collects.
+        NLOS rows share the cached static base.  LOS rows each take the
+        static base recomputed under their own arm occlusion
+        (:meth:`ChannelEngine.static_base` with the per-tag loss), from one
+        stacked :func:`occlusion_loss_db_batch`; the body points are
+        ``hand + offsets`` with row 0 assigned, as the engine places them.
         """
-        if sens_w is None:
-            sens_w = self._sensitivity_w()
-        return np.nonzero(self._scene_powers(pose) >= sens_w)[0]
+        offsets, rcs, shadow = template
+        with get_tracer().span(
+            "channel.batch", tags=len(self.array.tags), rounds=hand_xyz.shape[0]
+        ):
+            base = self._static_base
+            if self.config.los_occlusion:
+                body = hand_xyz[:, None, :] + offsets
+                body[:, 0, :] = hand_xyz
+                occlusion = occlusion_loss_db_batch(self._sight_lines, body)
+                base = self._engine.static_base(self._static_loss_db + occlusion)
+            return self._engine.scene_powers_trials(
+                base,
+                self.config.tx_power_w,
+                self._one_way_loss,
+                hand_xyz,
+                offsets,
+                rcs,
+                shadow,
+            )
+
+    def _readable_masks(
+        self, track: PoseTrack, sens_w: np.ndarray, static_mask: np.ndarray
+    ) -> np.ndarray:
+        """Readable masks ``(K, N)`` at the K poses of ``track``: hand-free
+        rows take ``static_mask``, the others one :meth:`_template_powers`
+        call per pose template."""
+        present = track.present
+        if len(track.templates) == 1 and present.all():
+            template = self._pose_fast_arrays(track.templates[0])
+            return self._template_powers(track.xyz, template) >= sens_w
+        if not present.any():
+            return static_mask[None, :].repeat(present.size, axis=0)
+        masks = np.empty((present.size, len(self.array.tags)), dtype=bool)
+        masks[~present] = static_mask
+        for k, template in enumerate(track.templates):
+            rows = np.nonzero(track.template_idx == k)[0]
+            if rows.size:
+                powers = self._template_powers(
+                    track.xyz[rows], self._pose_fast_arrays(template)
+                )
+                masks[rows] = powers >= sens_w
+        return masks
 
     def _sensitivity_w(self) -> np.ndarray:
         """Per-tag IC wake-up thresholds (watts), revalidated on every call.
 
         The dBm fields are the mutable source of truth; the watts array is
         re-derived only when one of them changes (tag death injection).
+        Nothing can change them *inside* a collect window (the simulator
+        is single-threaded), so a window resolves them once up front.
         """
         key = tuple(tag.ic_sensitivity_dbm for tag in self.array.tags)
         if key != self._sens_key:
@@ -348,9 +378,11 @@ class Reader:
         """Run continuous inventory for ``duration`` seconds.
 
         ``hand_pose_at(t)`` returns the hand pose at simulation time ``t``
-        (or ``None`` when no hand is in the scene).  Readability is
-        re-evaluated once per inventory round; each successful slot gets a
-        full channel evaluation at the slot's own timestamp.
+        (or ``None`` when no hand is in the scene).  Every inventory round
+        runs on the readable set at its own start clock, which the round
+        loop (:meth:`_inventory`) checks per block of rounds run ahead;
+        each successful slot then gets a full channel evaluation at the
+        slot's own timestamp.
 
         ``slices`` replaces ``duration``/``start_time`` with a dwell plan:
         ``[(t0, t1), ...]`` stretches of inventory in time order, as a
@@ -362,13 +394,11 @@ class Reader:
         ``slices`` the plan is the one slice of ``duration`` from
         ``start_time``.  ``last_inventory_stats`` is the sum over slices.
 
-        The MAC resolves whole rounds (:class:`RoundBatchInventory`) and
-        all of a window's successes go through the engine's row-batched
-        channel kernel.  ``pose_at_many`` optionally supplies the
-        vectorized pose clock; when ``hand_pose_at`` is a bound method of
-        an object exposing ``pose_at_many`` (a
-        :class:`~repro.motion.script.WritingScript`), it is picked up
-        automatically.
+        ``pose_at_many`` optionally supplies the vectorized pose clock;
+        when ``hand_pose_at`` is a bound method of an object exposing
+        ``pose_at_many`` (a :class:`~repro.motion.script.WritingScript`),
+        it is picked up automatically, and the scalar clock is then never
+        called.
         """
         if slices is None:
             if duration is None:
@@ -386,77 +416,181 @@ class Reader:
         pose_at, pose_at_many = _pose_clocks(hand_pose_at, pose_at_many)
         out = log if log is not None else ReportLog()
         n_before = len(out)
-        with get_tracer().span(
-            "reader.collect", duration_s=sum(dur for _, dur in plan)
-        ) as sp:
-            parts = self._collect_batched(plan, pose_at, pose_at_many, out)
-            stats = InventoryStats(
-                successes=sum(s.successes for s in parts),
-                collisions=sum(s.collisions for s in parts),
-                idles=sum(s.idles for s in parts),
-                elapsed=sum(s.elapsed for s in parts),
-            )
-            sp.set(
-                reads=stats.successes,
-                collisions=stats.collisions,
-                idles=stats.idles,
-                read_rate_hz=round(stats.read_rate, 1),
-            )
-        self.last_inventory_stats = stats
-        self._record_metrics(stats, out, n_before)
+        total = sum(dur for _, dur in plan)
+        with get_tracer().span("reader.collect", duration_s=total) as sp:
+            lane = self._inventory(self.rng, plan, pose_at, pose_at_many, total)
+            self._emit_lane(lane, out, sp)
+        self.last_inventory_stats = lane.stats
+        self._record_metrics(lane, out, n_before)
         return out
 
-    def _collect_batched(
+    def _inventory(
         self,
+        rng: np.random.Generator,
         plan: Sequence[Tuple[float, float]],
-        pose_at: HandPoseFn,
+        pose_at: Optional[HandPoseFn],
         pose_at_many: Optional[PoseTrackFn],
-        out: ReportLog,
-    ) -> List[InventoryStats]:
-        """Round-batched inventory over a ``(start, duration)`` plan, then
-        one row-batched channel evaluation; returns per-slice MAC stats.
+        duration: float,
+    ) -> LaneCollect:
+        """The round loop of every collect: MAC rounds over a
+        ``(start, duration)`` plan, each on the readable set at its own
+        start clock, checked per block of rounds (DESIGN.md §10).
 
         RNG stream contract (what makes the output bit-identical to the
-        scalar reference): per round, the MAC consumes one ``integers``
-        draw, then the scalar reference consumes ``flutter + 4`` standard
-        normals per success *in slot order* before the next round's draw.
-        Here each round's successes pull one ``standard_normal(k * nz)``
-        block inside the generator loop — same stream positions, same
-        values — and the block is later sliced per read in the same slot
-        order.  Slices run back to back on the same generator, so the
-        stream is the one a collect per slice consumes.
+        scalar reference): per round, one ``integers`` draw, then one
+        ``standard_normal(k * nz)`` block for its ``k`` successes, the
+        stream positions the scalar reference consumes read by read in
+        slot order.  Slices run back to back on the same generator.
+
+        A block's first round runs on the set known at its clock; the
+        rest run ahead on the same set, each after an inventory
+        checkpoint.  One pose query and one :meth:`_readable_masks` call
+        then check their start clocks and the clock after the block.
+        Rounds before the first whose set differs are committed; that one
+        is rolled back and rerun, on the set found, as the next block's
+        first round.  Sets found for discarded rounds are kept by clock,
+        so no clock is queried twice.  A block is ``1 + isqrt(2 n)``
+        rounds (at most :data:`_BLOCK_MAX`) after ``n`` rounds without a
+        change: about the length at which one check costs what a change
+        throws away.  Blocks span slices.  A hand-free collect runs every
+        round on the static set with no query and no check.
         """
-        nz_f = self.environment.flutter_draw_count
-        nz = nz_f + 4
+        nz = self.environment.flutter_draw_count + 4
         sens_w = self._sensitivity_w()
+        static_mask = self._static_scene_powers() >= sens_w
+        hand_free = pose_at is None and pose_at_many is None
+        profile = self.config.link_profile
+        ends = [start + dur for start, dur in plan]
+        invs = [RoundBatchInventory(rng, start_time=plan[0][0], profile=profile)]
+        times: List[np.ndarray] = []
+        winners: List[np.ndarray] = []
+        zs: List[np.ndarray] = []
+        # Readable masks a discarded block row found, by round-start clock.
+        memo: Dict[float, np.ndarray] = {}
+        mask = static_mask
+        readable = np.nonzero(mask)[0]
+        s = 0  # current slice
 
-        def readable_at(t: float) -> np.ndarray:
-            return self._readable_arr(pose_at(t), sens_w)
+        def advance() -> None:
+            # Move past finished slices; a slice starts a fresh inventory.
+            nonlocal s
+            while s < len(plan) and invs[s].clock >= ends[s]:
+                s += 1
+                if s < len(plan):
+                    invs.append(
+                        RoundBatchInventory(rng, start_time=plan[s][0], profile=profile)
+                    )
 
-        parts: List[InventoryStats] = []
-        all_times: List[np.ndarray] = []
-        all_winners: List[np.ndarray] = []
-        all_z: List[np.ndarray] = []
-        n_total = 0
-        for start_time, duration in plan:
-            inventory = RoundBatchInventory(
-                self.rng, start_time=start_time, profile=self.config.link_profile
+        def run_round() -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+            rr = invs[s].run_round_batch(readable)
+            k = rr.n_success
+            z = rng.standard_normal(k * nz) if k else None
+            advance()
+            return rr.times, rr.winners, z
+
+        def commit(result: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]) -> None:
+            if result[2] is not None:
+                times.append(result[0])
+                winners.append(result[1])
+                zs.append(result[2])
+
+        def query(clocks: List[float]) -> np.ndarray:
+            track = _pose_track(np.array(clocks), pose_at, pose_at_many)
+            return self._readable_masks(track, sens_w, static_mask)
+
+        def masks_at(clocks: List[float]) -> np.ndarray:
+            # Clocks only grow, so a kept set older than the first is dead.
+            for c in [c for c in memo if c < clocks[0]]:
+                del memo[c]
+            if not memo:
+                return query(clocks)
+            hits = [memo.pop(c, None) for c in clocks]
+            ask = [c for c, m in zip(clocks, hits) if m is None]
+            fresh = iter(query(ask) if ask else ())
+            return np.array([m if m is not None else next(fresh) for m in hits])
+
+        ahead = discarded = streak = 0
+        advance()
+        if not hand_free and s < len(plan):
+            mask = masks_at([invs[s].clock])[0]
+            readable = np.nonzero(mask)[0]
+        while s < len(plan):
+            if hand_free:
+                commit(run_round())
+                continue
+            # A block's first round runs on the set known at its clock; the
+            # rest run ahead on the same set.  One check then covers their
+            # start clocks and the clock after the block.
+            block = min(_BLOCK_MAX, 1 + math.isqrt(2 * streak))
+            commit(run_round())
+            pending = []
+            while len(pending) < block - 1 and s < len(plan):
+                inv = invs[s]
+                pending.append((s, inv.checkpoint(), inv.clock, run_round()))
+            ahead += len(pending)
+            clocks = [row[2] for row in pending]
+            if s < len(plan):
+                clocks.append(invs[s].clock)
+            if not clocks:
+                break
+            masks = masks_at(clocks)
+            changed = np.flatnonzero((masks != mask).any(axis=1))
+            j = int(changed[0]) if changed.size else len(clocks)
+            for row in pending[:j]:
+                commit(row[3])
+            if j >= len(pending):
+                streak += 1 + len(pending)
+                if j < len(clocks):  # the set changes at the next round
+                    mask, readable, streak = masks[j], np.nonzero(masks[j])[0], 0
+                continue
+            # Round j ran on a stale set: roll back to it and rerun it on
+            # its true set as the next block's first round.
+            discarded += len(pending) - j
+            s, checkpoint = pending[j][:2]
+            del invs[s + 1:]
+            invs[s].rollback(checkpoint)
+            memo.update(zip(clocks[j + 1:], masks[j + 1:]))
+            mask, readable, streak = masks[j], np.nonzero(masks[j])[0], 0
+
+        n = sum(w.size for w in winners)
+        parts = [inv.stats for inv in invs]
+        stats = InventoryStats(
+            successes=sum(p.successes for p in parts),
+            collisions=sum(p.collisions for p in parts),
+            idles=sum(p.idles for p in parts),
+            elapsed=sum(p.elapsed for p in parts),
+        )
+        return LaneCollect(
+            duration,
+            pose_at,
+            pose_at_many,
+            stats,
+            np.concatenate(times) if n else np.empty(0),
+            np.concatenate(winners) if n else np.empty(0, dtype=np.int64),
+            np.concatenate(zs).reshape(n, nz) if n else np.empty((0, nz)),
+            ahead,
+            discarded,
+        )
+
+    def _emit_lane(self, lane: LaneCollect, out: ReportLog, sp) -> None:
+        """Emit a lane's reads into ``out`` and tag the collect span."""
+        if lane.times.size:
+            self._emit_batched(
+                lane.times,
+                lane.winners,
+                lane.z,
+                self.environment.flutter_draw_count,
+                lane.pose_at,
+                lane.pose_at_many,
+                out,
             )
-            for rr in inventory.run_until_batch(start_time + duration, readable_at):
-                k = rr.n_success
-                if k == 0:
-                    continue
-                all_times.append(rr.times)
-                all_winners.append(rr.winners)
-                all_z.append(self.rng.standard_normal(k * nz))
-                n_total += k
-            parts.append(inventory.stats)
-        if n_total:
-            times = np.concatenate(all_times)
-            winners = np.concatenate(all_winners)
-            z = np.concatenate(all_z).reshape(n_total, nz)
-            self._emit_batched(times, winners, z, nz_f, pose_at, pose_at_many, out)
-        return parts
+        stats = lane.stats
+        sp.set(
+            reads=stats.successes,
+            collisions=stats.collisions,
+            idles=stats.idles,
+            read_rate_hz=round(stats.read_rate, 1),
+        )
 
     def _emit_batched(
         self,
@@ -464,7 +598,7 @@ class Reader:
         winners: np.ndarray,
         z: np.ndarray,
         nz_f: int,
-        pose_at: HandPoseFn,
+        pose_at: Optional[HandPoseFn],
         pose_at_many: Optional[PoseTrackFn],
         out: ReportLog,
     ) -> None:
@@ -476,12 +610,7 @@ class Reader:
 
         # Poses for every success timestamp — one vectorized call, or the
         # scalar clock exactly once per timestamp as the fallback.
-        if pose_at_many is not None:
-            track = pose_at_many(times)
-        else:
-            track = PoseTrack.from_poses(
-                times, [pose_at(t) for t in times.tolist()]
-            )
+        track = _pose_track(times, pose_at, pose_at_many)
 
         # Per-tag window constants, with the scalar expressions verbatim.
         amp_by_tag: List[float] = []
@@ -599,7 +728,7 @@ class Reader:
         ]
         return engine.a_direct_np[winners] * np.array(factor)
 
-    def _record_metrics(self, stats, out: ReportLog, n_before: int) -> None:
+    def _record_metrics(self, lane: LaneCollect, out: ReportLog, n_before: int) -> None:
         """Fold one collect() window into the global metrics registry.
 
         Runs entirely *after* the inventory loop so the hot path carries no
@@ -609,10 +738,15 @@ class Reader:
         metrics = get_metrics()
         if not metrics.enabled:
             return
+        stats = lane.stats
         metrics.inc("reader.reads", stats.successes)
         metrics.inc("reader.collision_slots", stats.collisions)
         metrics.inc("reader.idle_slots", stats.idles)
         metrics.inc("reader.windows")
+        # The readability speculation's yield: rounds run ahead of their
+        # check, and those a changed readable set threw away.
+        metrics.inc("reader.rounds_ahead", lane.ahead)
+        metrics.inc("reader.rounds_discarded", lane.discarded)
         metrics.set_gauge("reader.read_rate_hz", stats.read_rate)
         metrics.observe("reader.slot_efficiency", stats.efficiency)
         per_tag: Dict[int, int] = {}
@@ -628,124 +762,37 @@ class Reader:
             metrics.inc(f"channel.{name}", value)
 
     # ------------------------------------------------------------------
-    # Trial-axis collection (many independent windows in lockstep)
+    # Many independent windows (battery trials)
     # ------------------------------------------------------------------
 
     def collect_batch(self, specs: Sequence[CollectSpec]) -> List[LaneCollect]:
-        """Run the MAC phase of many independent collect windows in lockstep.
+        """Run the MAC phase of many independent collect windows.
 
-        Each spec becomes a *lane*: its own :class:`RoundBatchInventory`
-        over its own RNG, advanced round-by-round in lockstep with every
-        other still-active lane.  Per round, readability is resolved with
-        **one** :meth:`ChannelEngine.scene_powers_trials` evaluation per
-        pose template shared by the active lanes, and the Gen2 outcome
-        resolution runs once over the trial axis
-        (:class:`TrialAxisInventory`) — this is where the parallel battery
-        gets its throughput, since the per-lane numpy dispatch overhead is
-        amortised over all concurrent trials.  Both mounts group alike:
-        NLOS lanes share the static base, LOS lanes pass their per-pose
-        occluded bases (:meth:`_pose_base`) as a ``(T, N)`` stack.
-
-        The per-lane RNG stream order is exactly the solo order: the
-        round's ``integers`` draw, then one ``standard_normal(k * nz)``
-        block when the round had ``k > 0`` successes, then the next
-        round's draw.  Per lane, the returned MAC output (and the
-        subsequent :meth:`emit_lane` report log) is bit-identical to a
-        solo :meth:`collect` with the same generator state.
+        Each spec becomes a *lane*: :meth:`_inventory`, the round loop of
+        :meth:`collect`, over the spec's own generator, one lane after
+        another.  Per lane, the returned MAC output (and the subsequent
+        :meth:`emit_lane` report log) is bit-identical to a solo
+        :meth:`collect` with the same generator state; how lanes are
+        grouped into calls changes nothing.
         """
-        nz = self.environment.flutter_draw_count + 4
-        sens_w = self._sensitivity_w()
-        lanes: List[LaneCollect] = []
         for spec in specs:
             if spec.duration <= 0.0:
                 raise ValueError(f"duration must be positive, got {spec.duration}")
-            pose_at, pose_at_many = _pose_clocks(spec.hand_pose_at, spec.pose_at_many)
-            rng = spec.rng if spec.rng is not None else self.rng
-            inv = RoundBatchInventory(
-                rng, start_time=spec.start_time, profile=self.config.link_profile
-            )
-            lanes.append(LaneCollect(spec, inv, pose_at, pose_at_many))
-        if not lanes:
-            return lanes
-        axis = TrialAxisInventory([lane.inv for lane in lanes])
-        tracer = get_tracer()
-        los = self.config.los_occlusion
-        n_tags = len(self.array.tags)
-        with tracer.span("reader.collect_batch", lanes=len(lanes)) as sp:
-            rounds = 0
-            while True:
-                active = [
-                    i for i, lane in enumerate(lanes) if lane.inv.clock < lane.end
-                ]
-                if not active:
-                    break
-                rounds += 1
-                readables: List[Optional[np.ndarray]] = [None] * len(active)
-                # Group pose-present lanes by their cached template so one
-                # trial-axis channel evaluation covers each group.
-                groups: Dict[int, Tuple[tuple, List[int], List[Tuple[float, float, float]]]] = {}
-                for k, i in enumerate(active):
-                    lane = lanes[i]
-                    pose = lane.pose_at(lane.inv.clock)
-                    if pose is None:
-                        readables[k] = self._readable_arr(None, sens_w)
-                        continue
-                    entry = self._pose_fast_arrays(pose)
-                    group = groups.get(id(entry))
-                    if group is None:
-                        group = groups[id(entry)] = (entry, [], [])
-                    group[1].append(k)
-                    p = pose.position
-                    group[2].append((p.x, p.y, p.z))
-                for entry, members, xyzs in groups.values():
-                    offsets, rcs, shadow = entry
-                    if len(members) == 1:
-                        with tracer.span("channel.batch", tags=n_tags):
-                            powers = self._engine.scene_powers(
-                                self._pose_base(xyzs[0], offsets),
-                                self.config.tx_power_w,
-                                self._one_way_loss,
-                                xyzs[0],
-                                offsets,
-                                rcs,
-                                shadow,
-                            )
-                        readables[members[0]] = np.nonzero(powers >= sens_w)[0]
-                    else:
-                        with tracer.span(
-                            "channel.batch", tags=n_tags, lanes=len(members)
-                        ):
-                            # LOS lanes stack their occluded bases; NLOS
-                            # lanes share the static one.
-                            base = (
-                                np.stack([self._pose_base(xyz, offsets) for xyz in xyzs])
-                                if los
-                                else self._static_base
-                            )
-                            powers = self._engine.scene_powers_trials(
-                                base,
-                                self.config.tx_power_w,
-                                self._one_way_loss,
-                                np.array(xyzs),
-                                offsets,
-                                rcs,
-                                shadow,
-                            )
-                        for row, k in enumerate(members):
-                            readables[k] = np.nonzero(powers[row] >= sens_w)[0]
-                results = axis.step(active, readables)
-                for k, i in enumerate(active):
-                    rr = results[k]
-                    n_success = rr.n_success
-                    if n_success:
-                        lane = lanes[i]
-                        lane.times.append(rr.times)
-                        lane.winners.append(rr.winners)
-                        lane.z.append(
-                            lane.inv._rng.standard_normal(n_success * nz)
-                        )
-                        lane.n += n_success
-            sp.set(rounds=rounds)
+        if not specs:
+            return []
+        lanes: List[LaneCollect] = []
+        with get_tracer().span("reader.collect_batch", lanes=len(specs)):
+            for spec in specs:
+                pose_at, pose_at_many = _pose_clocks(spec.hand_pose_at, spec.pose_at_many)
+                lanes.append(
+                    self._inventory(
+                        spec.rng if spec.rng is not None else self.rng,
+                        [(spec.start_time, spec.duration)],
+                        pose_at,
+                        pose_at_many,
+                        spec.duration,
+                    )
+                )
         return lanes
 
     def emit_lane(self, lane: LaneCollect, log: Optional[ReportLog] = None) -> ReportLog:
@@ -758,26 +805,11 @@ class Reader:
         """
         out = log if log is not None else ReportLog()
         n_before = len(out)
-        nz_f = self.environment.flutter_draw_count
-        nz = nz_f + 4
         self.reset_read_history()
-        with get_tracer().span("reader.collect", duration_s=lane.spec.duration) as sp:
-            if lane.n:
-                times = np.concatenate(lane.times)
-                winners = np.concatenate(lane.winners)
-                z = np.concatenate(lane.z).reshape(lane.n, nz)
-                self._emit_batched(
-                    times, winners, z, nz_f, lane.pose_at, lane.pose_at_many, out
-                )
-            stats = lane.inv.stats
-            sp.set(
-                reads=stats.successes,
-                collisions=stats.collisions,
-                idles=stats.idles,
-                read_rate_hz=round(stats.read_rate, 1),
-            )
-        self.last_inventory_stats = stats
-        self._record_metrics(stats, out, n_before)
+        with get_tracer().span("reader.collect", duration_s=lane.duration) as sp:
+            self._emit_lane(lane, out, sp)
+        self.last_inventory_stats = lane.stats
+        self._record_metrics(lane, out, n_before)
         return out
 
     def reset_read_history(self) -> None:

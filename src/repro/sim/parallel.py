@@ -26,13 +26,13 @@ paid once per process lifetime instead of once per battery.  Call
 :func:`shutdown_pools` to tear them down explicitly (an ``atexit`` hook
 does it on interpreter exit).
 
-**Trial-axis chunking.**  Tasks are split into at most
-``min(workers, os.cpu_count())`` contiguous chunks (override with
-``REPRO_PARALLEL_CHUNKS``), and each worker advances its whole chunk in
-*lockstep* through :meth:`SessionRunner.run_motion_batch` — one numpy
-evaluation per round for all of the chunk's trials.  Chunking is pure
-scheduling: per-trial RNG streams make the merged battery bit-identical
-for any chunk/worker layout.
+**Chunking.**  Tasks are split into at most ``min(workers,
+os.cpu_count())`` contiguous chunks (override with
+``REPRO_PARALLEL_CHUNKS``), and each worker runs its whole chunk through
+:meth:`SessionRunner.run_motion_batch` — the reader's round loop, one
+trial after another, each on its own per-trial generator.  Chunking is
+pure scheduling: per-trial RNG streams make the merged battery
+bit-identical for any chunk/worker layout.
 
 **Fault containment.**  Each chunk future is awaited with a per-trial
 timeout (``REPRO_TRIAL_TIMEOUT_S`` seconds per trial, default 120).  A
@@ -79,8 +79,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: Environment knob: default worker count when no explicit value is given.
 WORKERS_ENV = "REPRO_WORKERS"
 
-#: Environment knob: force the number of lockstep chunks per battery
-#: (scheduling only — results are chunk-layout invariant).
+#: Environment knob: force the number of chunks per battery (scheduling
+#: only — results are chunk-layout invariant).
 CHUNKS_ENV = "REPRO_PARALLEL_CHUNKS"
 
 #: Environment knob: per-trial timeout budget, seconds (default 120).
@@ -207,7 +207,7 @@ def _maybe_inject_fault(indices: Sequence[int]) -> None:
 
 
 def _motion_chunk_task(args):
-    """Run one contiguous chunk of motion trials in lockstep."""
+    """Run one contiguous chunk of motion trials, trial by trial."""
     chunk, collect_logs = args
     _maybe_inject_fault([t[0] for t in chunk])
     runner = _worker_runner
@@ -226,7 +226,7 @@ def _motion_chunk_task(args):
 
 
 def _letter_chunk_task(args):
-    """Run one contiguous chunk of letter trials in lockstep."""
+    """Run one contiguous chunk of letter trials, trial by trial."""
     chunk, collect_logs = args
     _maybe_inject_fault([t[0] for t in chunk])
     runner = _worker_runner
@@ -320,7 +320,7 @@ def _chunk_count(workers: int, n_tasks: int) -> int:
         except ValueError:
             raise ValueError(f"{CHUNKS_ENV} must be an integer, got {env!r}")
     else:
-        # More chunks than cores just shrinks the lockstep width for no
+        # More chunks than cores only add task round trips for no
         # concurrency gain, so cap at the physical parallelism.
         chunks = min(workers, os.cpu_count() or 1)
     return max(1, min(chunks, n_tasks))

@@ -155,12 +155,14 @@ class SessionRunner:
         on_trial: Optional[Callable[[MotionTrial], None]] = None,
         keep_logs: bool = False,
     ) -> List[MotionTrial]:
-        """Run many independent motion trials through one lockstep collect.
+        """Run many independent motion trials through one
+        :meth:`Reader.collect_batch`.
 
         ``items`` rows are ``(motion, user, speed, rng)`` — each trial's
-        private RNG stream, exactly as :meth:`reseed` + :meth:`run_motion`
-        would consume it, so every trial's log is bit-identical to its solo
-        counterpart regardless of how trials are grouped into batches.
+        private RNG stream, which its lane of the collect consumes exactly
+        as :meth:`reseed` + :meth:`run_motion` would, so every trial's log
+        is bit-identical to its solo counterpart regardless of how trials
+        are grouped into batches.
         ``on_trial`` fires after each trial's assembly and metrics (the
         parallel worker captures its per-trial telemetry snapshot there).
         """

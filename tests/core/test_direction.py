@@ -13,7 +13,6 @@ from repro.core.direction import (
 from repro.motion.strokes import ArcOpening, Direction, StrokeKind
 from repro.physics.geometry import GridLayout
 from repro.rfid.reports import ReportLog, TagReadReport
-from repro.units import TWO_PI
 
 LAYOUT = GridLayout()
 

@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from repro.core.features import extract_features, opening_quadrant
 from repro.core.imaging import BinaryMap, GreyMap

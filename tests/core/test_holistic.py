@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.core.events import LetterResult, StrokeObservation
+from repro.core.events import StrokeObservation
 from repro.core.grammar import TreeGrammar
 from repro.core.holistic import (
     HolisticRecognizer,
@@ -10,7 +10,6 @@ from repro.core.holistic import (
     render_template,
 )
 from repro.core.imaging import BinaryMap, GreyMap
-from repro.motion.letters import ALPHABET
 from repro.motion.strokes import Direction, StrokeKind
 from repro.physics.geometry import GridLayout
 

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.core.pipeline import RFIPad, RFIPadConfig
+from repro.core.pipeline import RFIPad
 from repro.motion.script import script_for_letter, script_for_motion
 from repro.motion.strokes import Direction, Motion, StrokeKind
 from repro.physics.geometry import GridLayout

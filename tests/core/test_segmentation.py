@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from repro.core.calibration import calibrate
 from repro.core.segmentation import (
     SegmentationConfig,
     auto_threshold,
@@ -11,8 +10,7 @@ from repro.core.segmentation import (
 )
 from repro.motion.script import script_for_letter, script_for_motion
 from repro.motion.strokes import Motion, StrokeKind
-from repro.rfid.reports import ReportLog, TagReadReport
-from repro.units import TWO_PI
+from repro.rfid.reports import ReportLog
 
 
 def test_window_std_sliding():

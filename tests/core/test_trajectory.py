@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from repro.core.direction import Trough, detect_troughs
-from repro.core.trajectory import (
-    TrajectoryEstimate,
-    reconstruct_trajectory,
-    trajectory_error,
-)
+from repro.core.trajectory import reconstruct_trajectory, trajectory_error
 from repro.motion.script import script_for_motion
 from repro.motion.strokes import Direction, Motion, StrokeKind
 from repro.physics.geometry import GridLayout, Vec3

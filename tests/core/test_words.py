@@ -1,5 +1,3 @@
-import pytest
-
 from repro.core.events import LetterResult, SegmentedWindow
 from repro.core.words import (
     WordDecoder,

@@ -3,8 +3,6 @@ import pytest
 
 from repro.motion.kinect import KinectSimulator, trajectory_deviation
 from repro.motion.script import script_for_letter
-from repro.motion.strokes import TimedPoint
-from repro.physics.geometry import Vec3
 
 
 @pytest.fixture()

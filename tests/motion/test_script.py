@@ -8,7 +8,7 @@ from repro.motion.script import (
     script_for_motion,
     script_for_strokes,
 )
-from repro.motion.strokes import Direction, Motion, StrokeKind
+from repro.motion.strokes import Motion, StrokeKind
 from repro.motion.user import user_by_id
 
 

@@ -241,6 +241,30 @@ class TestOcclusionBatch:
                 want = _per_point_occlusion(antenna, tags, pose)
                 assert got.tobytes() == want.tobytes()
 
+    def test_stacked_rows_bit_identical_to_one_pose_calls(self):
+        # The reader checks a block of rounds with one (K, S, 3) stack;
+        # every row must be the one-pose call's bits, which are the
+        # per-point loop's.
+        rng = np.random.default_rng(34)
+        for case in range(40):
+            antenna = Vec3(*rng.uniform(-0.4, 0.4, 2).tolist(), float(rng.uniform(0.4, 1.2)))
+            tags = rng.uniform(-0.25, 0.25, (25, 3))
+            if case % 4 == 0:
+                tags[3] = antenna.as_tuple()  # zero-length segment
+            lines = SightLines.between(antenna, tags)
+            template = _random_template(rng)
+            k = int(rng.integers(1, 65))
+            poses = [
+                _with_position(template, xyz)
+                for xyz in rng.uniform([-0.4, -0.4, -0.3], [0.4, 0.4, 1.4], (k, 3)).tolist()
+            ]
+            stacked = occlusion_loss_db_batch(lines, np.stack([_body_xyz(p) for p in poses]))
+            assert stacked.shape == (k, 25)
+            for row, pose in zip(stacked, poses):
+                one = occlusion_loss_db_batch(lines, _body_xyz(pose))
+                assert row.tobytes() == one.tobytes()
+                assert row.tobytes() == _per_point_occlusion(antenna, tags, pose).tobytes()
+
 
 class TestOcclusionRows:
     def test_rows_bit_identical_to_scalar(self):

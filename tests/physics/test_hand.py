@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from repro.physics.geometry import Vec3

@@ -4,7 +4,6 @@ import pytest
 from repro.physics.geometry import Vec3
 from repro.physics.multipath import (
     ALL_LOCATIONS,
-    Environment,
     PlanarReflector,
     free_space,
     location_preset,

@@ -1,7 +1,5 @@
 """Property tests for circular statistics (calibration foundations)."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings

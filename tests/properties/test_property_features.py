@@ -7,8 +7,7 @@ tests on single shapes can miss.
 """
 
 import numpy as np
-import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.classifier import classify_shape

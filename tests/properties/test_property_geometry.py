@@ -1,9 +1,7 @@
 """Property tests for geometry primitives."""
 
-import math
-
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.physics.geometry import (

@@ -1,7 +1,5 @@
 """Property tests for the tree grammar and token scoring."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

@@ -1,7 +1,6 @@
 """Property tests for the Gen2 inventory MAC."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -247,11 +247,18 @@ def scalar_observe(
     )
 
 
-def scalar_collect(reader, duration: float, hand_pose_at=None) -> ReportLog:
+def scalar_collect(
+    reader, duration: Optional[float], hand_pose_at=None, slices=None
+) -> ReportLog:
     """``reader.collect(duration, hand_pose_at)`` on a fresh reader, the
     scalar way: :class:`Gen2Inventory` rounds from t = 0 with per-tag
     readability at each round's start, then one :func:`scalar_observe` per
-    success at the slot's own timestamp."""
+    success at the slot's own timestamp.
+
+    ``slices`` (with ``duration=None``) is ``reader.collect``'s dwell plan:
+    one fresh inventory per ``(t0, t1)`` slice on the same generator, its
+    rounds running until the clock passes ``t0 + (t1 - t0)``, with one
+    Doppler history across slices."""
     pose_at = hand_pose_at if hand_pose_at is not None else (lambda t: None)
     nominal = ChannelModel(
         reader.antenna,
@@ -260,13 +267,17 @@ def scalar_collect(reader, duration: float, hand_pose_at=None) -> ReportLog:
     )
     history: Dict[int, Tuple[float, float]] = {}
     out = ReportLog()
-    inventory = Gen2Inventory(reader.rng, profile=reader.config.link_profile)
-    for slot in inventory.run_until(
-        duration,
-        lambda t: scalar_readable(reader, nominal, pose_at(t)),
-        successes_only=True,
-    ):
-        out.append(
-            scalar_observe(reader, history, slot.winner, slot.time, pose_at(slot.time))
+    plan = [(0.0, duration)] if slices is None else [(t0, t1 - t0) for t0, t1 in slices]
+    for start, length in plan:
+        inventory = Gen2Inventory(
+            reader.rng, start_time=start, profile=reader.config.link_profile
         )
+        for slot in inventory.run_until(
+            start + length,
+            lambda t: scalar_readable(reader, nominal, pose_at(t)),
+            successes_only=True,
+        ):
+            out.append(
+                scalar_observe(reader, history, slot.winner, slot.time, pose_at(slot.time))
+            )
     return out

@@ -12,8 +12,8 @@ Three contracts pin :class:`RoundBatchInventory` to the scalar reference:
   byte-for-byte equal :class:`ReportLog` rows, across seeds, link
   profiles, and hand scripts.
 * **Single pose evaluation** — the batched collect path evaluates the
-  hand pose exactly once per distinct timestamp (once per round for
-  readability, once per success slot for the channel), verified by
+  hand pose exactly once per distinct timestamp (once per checked round
+  for readability, once per success slot for the channel), verified by
   call counting.
 """
 
@@ -41,7 +41,8 @@ def _scalar_events(inv: Gen2Inventory, end: float, readable):
 
 def _batched_events(inv: RoundBatchInventory, end: float, readable):
     out = []
-    for rr in inv.run_until_batch(end, readable):
+    while inv.clock < end:
+        rr = inv.run_round_batch(readable(inv.clock))
         out.extend(zip(rr.times.tolist(), rr.winners.tolist()))
     return out
 
@@ -183,19 +184,20 @@ class TestGoldenStreams:
 
 
 class _CountingPoseSource:
-    """Wraps a script; records every scalar pose query and batch call."""
+    """Wraps a script; records every scalar pose query and the times of
+    every batch call."""
 
     def __init__(self, script):
         self._script = script
         self.scalar_times = []
-        self.many_calls = 0
+        self.many_times = []
 
     def hand_pose_at(self, t):
         self.scalar_times.append(t)
         return self._script.hand_pose_at(t)
 
     def pose_at_many(self, times):
-        self.many_calls += 1
+        self.many_times.append(np.asarray(times).tolist())
         return self._script.pose_at_many(times)
 
 
@@ -223,9 +225,15 @@ class TestSinglePoseEvaluation:
         src, log = self._collect(with_many=True)
         assert len(log) > 0
         # The whole window's success poses resolve through one batch call;
-        # the per-round readability queries each hit a distinct clock value.
-        assert src.many_calls == 1
-        assert len(src.scalar_times) == len(set(src.scalar_times))
+        # the readability checks ask the same vectorized clock for blocks
+        # of round-start times.  The scalar clock is never called, and no
+        # time is asked twice.
+        stamps = [r.timestamp for r in log]
+        emits = [times for times in src.many_times if stamps[0] in times]
+        assert emits == [stamps]
+        assert src.scalar_times == []
+        queried = [t for times in src.many_times for t in times]
+        assert len(queried) == len(set(queried))
 
     def test_fallback_evaluates_each_timestamp_exactly_once(self):
         calls, log = self._collect(with_many=False)
@@ -238,155 +246,3 @@ class TestSinglePoseEvaluation:
         counts = Counter(calls)
         for r in log:
             assert counts[r.timestamp] == 1
-
-
-# ---------------------------------------------------------------------------
-
-
-def _solo_run(seed, q_initial, end, readable_at):
-    inv = RoundBatchInventory(np.random.default_rng(seed), q_initial=q_initial)
-    events = []
-    for rr in inv.run_until_batch(end, readable_at):
-        events.extend(zip(rr.times.tolist(), rr.winners.tolist()))
-    return inv, events
-
-
-def _lockstep_run(lane_params, end):
-    """Drive every lane through TrialAxisInventory exactly as collect_batch
-    does: readability queried at each lane's own pre-round clock."""
-    from repro.rfid.inventory_vec import TrialAxisInventory
-
-    lanes = [
-        RoundBatchInventory(np.random.default_rng(seed), q_initial=q0)
-        for seed, q0, _ in lane_params
-    ]
-    taxis = TrialAxisInventory(lanes)
-    events = [[] for _ in lanes]
-    while True:
-        active = [i for i, inv in enumerate(lanes) if inv.clock < end]
-        if not active:
-            break
-        readables = [lane_params[i][2](lanes[i].clock) for i in active]
-        for k, rr in zip(active, taxis.step(active, readables)):
-            events[k].extend(zip(rr.times.tolist(), rr.winners.tolist()))
-    return lanes, events
-
-
-class TestTrialAxisLockstep:
-    """Lockstep lanes must be bitwise indistinguishable from solo lanes."""
-
-    def _assert_lane_equal(self, solo_inv, solo_ev, lane, lane_ev):
-        assert solo_ev == lane_ev  # exact floats
-        assert solo_inv.clock == lane.clock
-        assert solo_inv.stats == lane.stats
-        assert solo_inv._qalg.qfp == lane._qalg.qfp
-        assert (
-            solo_inv._rng.bit_generator.state == lane._rng.bit_generator.state
-        )
-
-    def test_uniform_lanes_match_solo(self):
-        def readable(t):
-            return list(range(25))
-
-        params = [(seed, 3.0, readable) for seed in (1, 2, 3, 4, 5)]
-        lanes, events = _lockstep_run(params, end=0.5)
-        assert any(ev for ev in events)
-        for (seed, q0, fn), lane, ev in zip(params, lanes, events):
-            solo_inv, solo_ev = _solo_run(seed, q0, 0.5, fn)
-            self._assert_lane_equal(solo_inv, solo_ev, lane, ev)
-
-    def test_heterogeneous_populations_and_empties(self):
-        def busy(t):
-            return list(range(5 + int(t * 40.0) % 20))
-
-        def quiet(t):
-            return []
-
-        def sparse(t):
-            return [0, 3, 7]
-
-        params = [(11, 3.0, busy), (12, 3.0, quiet), (13, 3.0, sparse),
-                  (14, 3.0, busy)]
-        lanes, events = _lockstep_run(params, end=0.4)
-        for (seed, q0, fn), lane, ev in zip(params, lanes, events):
-            solo_inv, solo_ev = _solo_run(seed, q0, 0.4, fn)
-            self._assert_lane_equal(solo_inv, solo_ev, lane, ev)
-        assert events[1] == []  # quiet lane really was idle
-
-    def test_clamp_escape_replay_matches_solo(self):
-        # Large population + low q_max: the qfp band check fails, forcing
-        # the grouped scalar replay — still exact per lane.
-        from repro.rfid.inventory_vec import TrialAxisInventory
-
-        def readable(t):
-            return list(range(60))
-
-        solo_lanes = []
-        for seed in (21, 22, 23):
-            inv = RoundBatchInventory(np.random.default_rng(seed), q_initial=4.0)
-            inv._qalg.q_max = 4.0
-            solo_lanes.append(inv)
-        lock_lanes = []
-        for seed in (21, 22, 23):
-            inv = RoundBatchInventory(np.random.default_rng(seed), q_initial=4.0)
-            inv._qalg.q_max = 4.0
-            lock_lanes.append(inv)
-
-        solo_events = []
-        for inv in solo_lanes:
-            ev = []
-            for rr in inv.run_until_batch(0.4, readable):
-                ev.extend(zip(rr.times.tolist(), rr.winners.tolist()))
-            solo_events.append(ev)
-
-        taxis = TrialAxisInventory(lock_lanes)
-        lock_events = [[] for _ in lock_lanes]
-        while True:
-            active = [i for i, inv in enumerate(lock_lanes) if inv.clock < 0.4]
-            if not active:
-                break
-            readables = [readable(lock_lanes[i].clock) for i in active]
-            for k, rr in zip(active, taxis.step(active, readables)):
-                lock_events[k].extend(zip(rr.times.tolist(), rr.winners.tolist()))
-
-        for solo_inv, solo_ev, lane, ev in zip(
-            solo_lanes, solo_events, lock_lanes, lock_events
-        ):
-            assert solo_ev == ev
-            assert solo_inv._qalg.qfp == lane._qalg.qfp == lane._qalg.q_max
-            assert (
-                solo_inv._rng.bit_generator.state
-                == lane._rng.bit_generator.state
-            )
-
-    def test_heterogeneous_profiles_fall_back_per_lane(self):
-        def readable(t):
-            return list(range(20))
-
-        lanes = [
-            RoundBatchInventory(np.random.default_rng(31), profile=PROFILE_DENSE),
-            RoundBatchInventory(np.random.default_rng(32), profile=PROFILE_FAST),
-        ]
-        from repro.rfid.inventory_vec import TrialAxisInventory
-
-        taxis = TrialAxisInventory(lanes)
-        assert not taxis._uniform
-        events = [[] for _ in lanes]
-        while True:
-            active = [i for i, inv in enumerate(lanes) if inv.clock < 0.3]
-            if not active:
-                break
-            readables = [readable(lanes[i].clock) for i in active]
-            for k, rr in zip(active, taxis.step(active, readables)):
-                events[k].extend(zip(rr.times.tolist(), rr.winners.tolist()))
-
-        for seed, profile, lane, ev in (
-            (31, PROFILE_DENSE, lanes[0], events[0]),
-            (32, PROFILE_FAST, lanes[1], events[1]),
-        ):
-            solo = RoundBatchInventory(np.random.default_rng(seed), profile=profile)
-            solo_ev = []
-            for rr in solo.run_until_batch(0.3, readable):
-                solo_ev.extend(zip(rr.times.tolist(), rr.winners.tolist()))
-            assert solo_ev == ev
-            assert solo._rng.bit_generator.state == lane._rng.bit_generator.state

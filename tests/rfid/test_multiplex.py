@@ -182,10 +182,6 @@ def test_rngs_length_validated():
         )
 
 
-def test_vectorized_property_reports_engine_path(two_pads):
-    assert two_pads.vectorized
-
-
 # ----------------------------------------------------------------------
 # One collect per port over its dwell plan equals one collect per slice.
 

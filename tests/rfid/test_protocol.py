@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.rfid.protocol import (
-    QAlgorithm,
-    SUCCESS_SLOT_S,
-    expected_round_efficiency,
-)
+from repro.rfid.protocol import QAlgorithm, expected_round_efficiency
 
 from .collect_oracles import Gen2Inventory
 

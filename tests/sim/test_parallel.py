@@ -104,8 +104,8 @@ class TestParallelBattery:
 
 class TestChunkLayoutInvariance:
     def test_chunk_count_does_not_change_logs(self, monkeypatch):
-        # Chunking is pure scheduling: 1 fat lockstep chunk vs 3 narrow
-        # ones must produce byte-for-byte the same battery.
+        # Chunking is pure scheduling: 1 fat chunk vs 3 narrow ones must
+        # produce byte-for-byte the same battery.
         motions = all_motions()[:3]
         monkeypatch.setenv("REPRO_PARALLEL_CHUNKS", "1")
         r1 = SessionRunner(build_scenario(ScenarioConfig(seed=11)))

@@ -1,8 +1,6 @@
-import pytest
-
 from repro.motion.strokes import Direction, Motion, StrokeKind
 from repro.sim.metrics import score_motion_trials
-from repro.sim.runner import MotionTrial, SessionRunner
+from repro.sim.runner import MotionTrial
 
 
 def test_runner_calibrates_on_construction(shared_runner):

@@ -1,8 +1,6 @@
-import math
-
 import pytest
 
-from repro.sim.scenario import Scenario, ScenarioConfig, build_scenario
+from repro.sim.scenario import ScenarioConfig, build_scenario
 
 
 def test_default_scenario_matches_prototype():

@@ -12,7 +12,6 @@ every session is the finalizing LetterEvent.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.motion.script import script_for_letter

@@ -7,7 +7,7 @@ analytically-cheap experiments meet their expectations.
 
 import pytest
 
-from repro.experiments import ALL_EXPERIMENTS, REGISTRY, ExperimentResult, run_experiment
+from repro.experiments import ALL_EXPERIMENTS, ExperimentResult, run_experiment
 
 PAPER_ARTEFACTS = {
     "fig02", "fig04", "fig05", "fig06", "fig07", "fig08", "fig09",

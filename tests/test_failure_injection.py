@@ -5,17 +5,15 @@ death), see partial streams, and get clock-skewed reports.  Each test
 breaks one assumption and checks the system stays sane.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from repro.core.pipeline import RFIPad
 from repro.motion.script import script_for_motion
-from repro.motion.strokes import Motion, StrokeKind, all_motions
+from repro.motion.strokes import Motion, StrokeKind
 from repro.rfid.reports import ReportLog, TagReadReport
 from repro.sim.metrics import score_motion_trials
-from repro.sim.runner import MotionTrial, SessionRunner
+from repro.sim.runner import SessionRunner
 from repro.sim.scenario import ScenarioConfig, build_scenario
 
 
