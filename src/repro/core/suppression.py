@@ -41,9 +41,6 @@ class SuppressionResult:
     suppressed: Dict[int, float]  # Eq. 10 output (Fig. 7b style)
     read_counts: Dict[int, int]
 
-    def suppressed_array(self, tag_indices: "list[int]") -> np.ndarray:
-        return np.array([self.suppressed.get(i, 0.0) for i in tag_indices])
-
 
 def suppression_rows(
     block: WindowBlock,

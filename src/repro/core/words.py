@@ -18,17 +18,9 @@ letters as our future work."  This module supplies that layer:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .events import LetterResult, SegmentedWindow, StrokeObservation
-
-
-class LetterRecognizer(Protocol):
-    def recognize(
-        self,
-        strokes: Sequence[StrokeObservation],
-        windows: Sequence[SegmentedWindow] = (),
-    ) -> LetterResult: ...
+from .events import LetterResult, SegmentedWindow
 
 
 def cluster_windows_into_letters(

@@ -31,8 +31,10 @@ from .user import DEFAULT_USER, UserProfile
 
 
 #: Largest :meth:`WritingScript.pose_at_many` batch answered by the scalar
-#: clock (the inventory loop's readability checks ask for 1-64 times).
-_SCALAR_BATCH = 16
+#: clock (the inventory loop's readability checks ask for 1-64 times).  The
+#: scalar clock costs ~4 us a time and the array path ~34 us a call on a
+#: nine-segment letter, so they break even near eight times.
+_SCALAR_BATCH = 7
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,8 @@ class WritingScript:
                 raise ValueError("segments overlap")
         # Per-segment interpolation keys, filled lazily by hand_pose_at.
         self._seg_times: dict = {}
-        # Per-segment (times, positions) arrays, filled lazily by pose_at_many.
-        self._seg_arrays: dict = {}
+        # Segment and sample tables, built lazily by pose_at_many.
+        self._pose_tables: Optional[tuple] = None
 
     @property
     def t_start(self) -> float:
@@ -142,64 +144,75 @@ class WritingScript:
         """Vectorized :meth:`hand_pose_at`: one :class:`PoseTrack` for a whole
         batch of query times.
 
-        Positions are bit-identical to the scalar clock: segment lookup is
-        the same ordered first-match rule, ``searchsorted(side='right')``
-        reproduces ``bisect.bisect_right``, and the clamped linear
-        interpolation evaluates ``a + (b - a) * frac`` with the scalar
-        ``Vec3.lerp`` operand order (degenerate rows — before the first
-        sample, after the last, zero-length intervals — select the endpoint
-        sample directly rather than re-deriving it arithmetically).
+        Positions are bit-identical to the scalar clock.  One
+        ``searchsorted`` over the segments' running end times picks each
+        time's segment by the same first-match rule (a time on a bound
+        two segments share belongs to the earlier one).  The segments'
+        samples lie in time order end to end, so one ``searchsorted`` over
+        all of them, clamped to the segment's own samples, reproduces
+        ``bisect.bisect_right`` within it; the clamped linear interpolation
+        evaluates ``a + (b - a) * frac`` with the scalar ``Vec3.lerp``
+        operand order (degenerate rows — before the first sample, after
+        the last, zero-length intervals — select the endpoint sample
+        directly rather than re-deriving it arithmetically).
 
         A batch of at most :data:`_SCALAR_BATCH` times runs the scalar
-        clock once per time instead: below that size the per-segment
-        numpy masks cost more than the scalar lookups they replace.
+        clock once per time instead, which costs less at that size.
         """
         tq = np.ascontiguousarray(times, dtype=float)
         if tq.size <= _SCALAR_BATCH:
             return PoseTrack.from_poses(tq, [self.hand_pose_at(t) for t in tq.tolist()])
-        m = tq.size
-        present = np.zeros(m, dtype=bool)
-        xyz = np.zeros((m, 3))
-        template_idx = np.full(m, -1, dtype=np.int64)
-        assigned = np.zeros(m, dtype=bool)
-        for idx, seg in enumerate(self.segments):
-            mask = (~assigned) & (tq >= seg.t0) & (tq <= seg.t1)
-            if not mask.any():
-                continue
-            assigned |= mask
-            if seg.kind == "absent":
-                continue
-            samples = seg.trace.samples if seg.trace is not None else seg.path
-            if not samples:
-                continue
-            arrays = self._seg_arrays.get(idx)
-            if arrays is None:
-                st = np.array([s.t for s in samples])
-                pos = np.array([s.position.as_tuple() for s in samples])
-                arrays = self._seg_arrays[idx] = (st, pos)
-            st, pos = arrays
-            n = st.size
-            t_in = tq[mask]
-            i = np.searchsorted(st, t_in, side="right")
-            lo = np.clip(i - 1, 0, n - 1)
-            hi = np.clip(i, 0, n - 1)
-            ta = st[lo]
-            tb = st[hi]
-            pa = pos[lo]
-            pb = pos[hi]
-            denom = tb - ta
+        t0, t1_run, first, count, st, pos, template = self._pose_arrays()
+        seg = np.minimum(np.searchsorted(t1_run, tq, side="left"), t0.size - 1)
+        present = (t0[seg] <= tq) & (tq <= t1_run[seg]) & (count[seg] > 0)
+        xyz = np.zeros((tq.size, 3))
+        template_idx = np.where(present, 0, -1)
+        if present.any():
+            # Rows without a hand interpolate on sample 0 and are dropped.
+            lo = np.where(present, first[seg], 0)
+            n = np.where(present, count[seg], 1)
+            i = np.clip(np.searchsorted(st, tq, side="right") - lo, 0, n)
+            a = lo + np.maximum(i - 1, 0)
+            b = lo + np.minimum(i, n - 1)
+            ta = st[a]
+            denom = st[b] - ta
             safe = (denom != 0.0) & (i > 0) & (i < n)
-            frac = np.where(
-                safe, (t_in - ta) / np.where(safe, denom, 1.0), 0.0
-            )
-            interp = pa + (pb - pa) * frac[:, None]
-            xyz[mask] = np.where(safe[:, None], interp, pa)
-            present[mask] = True
-            template_idx[mask] = 0
-        template = HandPose(
-            position=Vec3(0.0, 0.0, 0.0), arm_length=self.user.arm_length / 2.0
-        )
+            frac = np.where(safe, (tq - ta) / np.where(safe, denom, 1.0), 0.0)
+            pa = pos[a]
+            interp = pa + (pos[b] - pa) * frac[:, None]
+            xyz[present] = np.where(safe[:, None], interp, pa)[present]
         return PoseTrack(tq, present, xyz, [template], template_idx)
+
+    def _pose_arrays(self) -> tuple:
+        """The segment and sample tables :meth:`pose_at_many` searches, built
+        once per script: segment start times, running end times (the
+        first segment whose running end reaches a time is the first whose
+        own end does), each segment's first sample and sample count (0 when
+        no hand is present), all samples' times and positions end to end,
+        and the pose template."""
+        if self._pose_tables is None:
+            starts, counts, st, pos = [], [], [], []
+            for seg in self.segments:
+                samples = () if seg.kind == "absent" else (
+                    seg.trace.samples if seg.trace is not None else seg.path
+                )
+                starts.append(len(st))
+                counts.append(len(samples))
+                st.extend(p.t for p in samples)
+                pos.extend(p.position.as_tuple() for p in samples)
+            st_np = np.array(st)
+            if np.any(st_np[1:] < st_np[:-1]):
+                raise ValueError("segment samples must lie in time order")
+            self._pose_tables = (
+                np.array([seg.t0 for seg in self.segments]),
+                np.maximum.accumulate([seg.t1 for seg in self.segments]),
+                np.array(starts),
+                np.array(counts),
+                st_np,
+                np.array(pos).reshape(-1, 3),
+                HandPose(position=Vec3(0.0, 0.0, 0.0), arm_length=self.user.arm_length / 2.0),
+            )
+        return self._pose_tables
 
     def true_trajectory(self, dt: float = 1.0 / 30.0) -> List[TimedPoint]:
         """Dense ground-truth trajectory (used by the simulated Kinect)."""

@@ -40,8 +40,6 @@ from .hand import (
     HAND_SHADOW_DEPTH_DB,
     HandPose,
     hand_height_profile,
-    occlusion_loss_db,
-    point_to_segment_distance,
 )
 from .multipath import (
     ALL_LOCATIONS,
@@ -50,7 +48,7 @@ from .multipath import (
     free_space,
     location_preset,
 )
-from .noise import DEFAULT_NOISE_FLOOR_DBM, ReceiverNoise, doppler_estimate_hz
+from .noise import DEFAULT_NOISE_FLOOR_DBM, ReceiverNoise
 
 __all__ = [
     "ALL_DESIGNS",
@@ -83,17 +81,14 @@ __all__ = [
     "angle_between",
     "centroid",
     "design_by_name",
-    "doppler_estimate_hz",
     "free_space",
     "hand_height_profile",
     "location_preset",
     "minimum_plane_distance",
     "mirror_across_plane",
-    "occlusion_loss_db",
     "pair_shadow_loss_db",
     "path_length",
     "plane_side_for_grid",
-    "point_to_segment_distance",
     "resample_polyline",
     "rotate_about_y",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..units import db_to_linear, linear_to_db
+from ..units import db_to_linear
 from .geometry import Vec3
 
 
@@ -70,19 +70,14 @@ class ReaderAntenna:
         return math.degrees(self.beam_angle())
 
     def _solve_pattern_exponent(self) -> float:
+        """Exponent n of the cos^n power pattern, from ``cos(theta_3dB)^n =
+        1/2`` with ``theta_3dB`` the half-beam angle from Eq. 14."""
         half = self.beam_angle() / 2.0
         # Guard: for near-isotropic gains the half-angle can exceed 90 deg;
         # fall back to an isotropic pattern (n = 0).
         if half >= math.pi / 2.0 - 1e-9:
             return 0.0
         return math.log(0.5) / math.log(math.cos(half))
-
-    def _pattern_exponent(self) -> float:
-        """Exponent n of the cos^n power pattern, solved once at construction
-        from ``cos(theta_3dB)^n = 1/2`` with ``theta_3dB`` the half-beam
-        angle from Eq. 14.
-        """
-        return self._pattern_n
 
     def gain_towards(self, target: Vec3) -> float:
         """Linear gain in the direction of ``target``.
@@ -111,32 +106,6 @@ class ReaderAntenna:
         # Floor the pattern so deep nulls stay numerically sane.
         pattern = max(pattern, self._back_lobe)
         return self._gain_linear * pattern
-
-    def gain_towards_many(self, targets: "object") -> "object":
-        """Vectorized :meth:`gain_towards` over an ``(N, 3)`` float array.
-
-        Uses the identical direction-cosine formula, so results agree with
-        the scalar method to floating-point noise.  Imported lazily so the
-        scalar physics layer stays numpy-free for cold-start users.
-        """
-        import numpy as np
-
-        diff = np.asarray(targets, dtype=float) - np.array(self.position.as_tuple())
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        if np.any(dist == 0.0):
-            raise ValueError("target coincides with the antenna phase centre")
-        b = self._unit_boresight
-        cos_t = (diff[:, 0] * b.x + diff[:, 1] * b.y + diff[:, 2] * b.z) / dist
-        cos_t = np.clip(cos_t, -1.0, 1.0)
-        if self._pattern_n > 0.0:
-            front = np.where(cos_t >= 0.0, np.maximum(cos_t, 0.0) ** self._pattern_n, 0.0)
-        else:
-            front = np.where(cos_t >= 0.0, 1.0, 0.0)
-        pattern = np.maximum(np.where(cos_t >= 0.0, front, self._back_lobe), self._back_lobe)
-        return self._gain_linear * pattern
-
-    def gain_towards_dbi(self, target: Vec3) -> float:
-        return linear_to_db(self.gain_towards(target))
 
 
 def minimum_plane_distance(plane_side: float, gain_dbi: float = 8.0) -> float:

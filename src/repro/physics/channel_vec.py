@@ -26,8 +26,11 @@ static amplitudes come from its own helpers.  The engine has two paths:
   (``tests/physics/channel_oracles.py``), bit for bit, and that reference
   matches ``ChannelModel`` to <= 1e-9 relative error;
 * :meth:`backscatter_rows` — the per-read roundtrip of every successful
-  slot, **bit-identical** row by row to ``ChannelModel.roundtrip`` on the
-  read's fluttered reflector images, plus ``detuning_phase_rad``.
+  slot as whole-array numpy, matching ``ChannelModel.roundtrip`` on the
+  read's fluttered reflector images, and ``detuning_phase_rad``, to
+  <= 1e-12 relative error.  Its last bits may differ from libm's; the
+  reader quantises every value before it reaches a report, and the
+  reports equal the scalar reference's exactly (DESIGN.md §8).
 
 The cache binds to the antenna pose, wavelength, tag positions/gains, and
 image-antenna positions at construction; none of these may change behind
@@ -48,7 +51,7 @@ from ..units import TWO_PI
 from .antenna import ReaderAntenna
 from .channel import ChannelModel
 from .geometry import Vec3
-from .hand import ARM_POINTS
+from .hand import HandPose
 
 FOUR_PI = 4.0 * math.pi
 
@@ -129,6 +132,9 @@ class ChannelEngine:
             fs_img.append(fs_row)
         self.d_img_np = np.array(d_img) if d_img else np.zeros((0, n))
         self.fs_img_np = np.array(fs_img) if fs_img else np.zeros((0, n))
+        # (N, R): each image antenna's ray to each tag for a unit
+        # reflection coefficient, fs * exp(-jk d).
+        self._reflector_rays = (self.fs_img_np * np.exp(self._neg_jk * self.d_img_np)).T
 
         # The reflector sum for the nominal coefficients is itself static.
         self._nominal_reflector_sum = self._reflector_sum(
@@ -247,6 +253,14 @@ class ChannelEngine:
             base, tx_power_w, one_way_loss, hand_xyz, offsets, rcs, shadow
         )
 
+    def _pattern(self, cos_t: np.ndarray) -> np.ndarray:
+        """The antenna's cos^n power pattern at direction cosines ``cos_t``,
+        floored at the back lobe (``ReaderAntenna.gain_towards`` without
+        the peak gain)."""
+        if self._pattern_n > 0.0:
+            return np.maximum(np.maximum(cos_t, 0.0) ** self._pattern_n, self._back_lobe)
+        return np.where(cos_t >= 0.0, 1.0, self._back_lobe)
+
     def _count_rows(self, rows: int) -> None:
         self.batch_calls += rows
         self.tags_evaluated += rows * len(self.tag_positions_np)
@@ -288,13 +302,7 @@ class ChannelEngine:
         cos_t = np.minimum(
             np.maximum((diff0 @ self._boresight_np) / d1_safe, -1.0), 1.0
         )
-        if self._pattern_n > 0.0:
-            pattern = np.maximum(
-                np.maximum(cos_t, 0.0) ** self._pattern_n, self._back_lobe
-            )
-        else:
-            pattern = np.where(cos_t >= 0.0, 1.0, self._back_lobe)
-        gr_sc = self._gain_linear * pattern
+        gr_sc = self._gain_linear * self._pattern(cos_t)
         amp = np.sqrt(
             (gr_sc * rcs)[:, :, None] * self.tag_gains_np * self._scatter_const
         ) / (d1_safe[:, :, None] * d2_safe)
@@ -319,7 +327,7 @@ class ChannelEngine:
         return tx_power_w * np.abs(g * one_way_loss) ** 2
 
     # ------------------------------------------------------------------
-    # Per-read path (bit-identical to ChannelModel.roundtrip per row)
+    # Per-read path (one whole-array evaluation per batch of reads)
     # ------------------------------------------------------------------
 
     def backscatter_rows(
@@ -330,209 +338,75 @@ class ChannelEngine:
         gammas_re: np.ndarray,
         gammas_im: np.ndarray,
         hand_xyz: "np.ndarray | None" = None,
-        template: "object | None" = None,
-    ) -> "Tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Roundtrip voltages for M successful slots at once, bit-identical
-        per row to ``ChannelModel.roundtrip`` on the row's fluttered
-        reflector images, plus ``detuning_phase_rad``.
+        template: "HandPose | None" = None,
+    ) -> "Tuple[np.ndarray, np.ndarray]":
+        """Roundtrip voltages of M successful slots at once:
+        ``ChannelModel.roundtrip`` on each row's fluttered reflector images,
+        plus ``detuning_phase_rad``, to floating-point noise.
 
         Parameters are column-wise over the M rows: the winning tag index,
-        the post-loss direct amplitude (``a_direct_np[tag]`` times the
-        caller's ``sqrt(db_to_linear(-loss))`` factor when the loss is
-        positive, as ``ChannelModel.resolve_paths`` scales it), the
-        precomputed ``sqrt(Pt * m_tag)`` roundtrip scale, and the fluttered
-        reflection coefficients as ``(M, R)`` real/imag arrays.  ``hand_xyz``/``template`` describe a
-        HandPose-shaped scatterer group (hand + arm points) shared by all
-        rows; ``None`` means no hand anywhere in the batch.
+        the post-loss direct amplitude (``a_direct_np[tag]`` scaled by the
+        row's direct-path loss), the ``sqrt(Pt * m_tag)`` roundtrip scale,
+        and the fluttered reflection coefficients as ``(M, R)`` real/imag
+        arrays.  ``hand_xyz``/``template`` place one hand + arm scatterer
+        group (the template's parameters, its position ignored) at each
+        row's ``(M, 3)`` hand position; ``None`` means no hand in the batch.
 
-        Returns ``(s_re, s_im, detune_rad)``.
-
-        Bit-identity strategy (the PR 2 contract, extended): elementwise
-        ``+ - * /``, ``np.sqrt/np.cos/np.sin`` and manual componentwise
-        complex products reproduce the scalar arithmetic exactly, so the
-        straight-line ray sums vectorize; everything that routes through
-        libm with data-dependent arguments where numpy's kernels differ in
-        the last ulp — ``hypot``, ``atan2``, ``exp``, ``pow`` (including
-        ``x ** 2``, which CPython evaluates as ``pow(x, 2.0)`` while numpy
-        squares with a multiply) — runs in short per-row Python loops.
+        Returns ``(s, detune_rad)``: the complex roundtrip voltages and the
+        near-field detuning phase of every row.
         """
         m = int(tag_idx.size)
         self.batch_calls += 1
         self.single_calls += m
         self.tags_evaluated += m
-        wl = self.wavelength
-        out_detune = np.zeros(m)
-        if m == 0:
-            return np.zeros(0), np.zeros(0), out_detune
 
-        # --- direct path: g = 0j; g += a_direct * exp_direct[tag] ---------
-        er = self.exp_direct_np.real[tag_idx]
-        ei = self.exp_direct_np.imag[tag_idx]
-        # float * complex expands with (a, 0.0): keep the 0.0 cross terms so
-        # signed zeros match the scalar product exactly.
-        g_re = 0.0 + (direct_amp * er - 0.0 * ei)
-        g_im = 0.0 + (direct_amp * ei + 0.0 * er)
+        # Direct ray from the cached phasors; a reflector's ray is
+        # gamma * fs * exp(-jk d), the same |gamma| * fs * exp(-jk (d - arg
+        # gamma / k)) as the scalar model without splitting gamma.
+        gammas = gammas_re + 1j * gammas_im
+        g = direct_amp * self.exp_direct_np[tag_idx] + (
+            gammas * self._reflector_rays[tag_idx]
+        ).sum(axis=1)
 
-        # --- static reflectors (fluttered coefficients per row) -----------
-        for j in range(gammas_re.shape[1]):
-            grl = gammas_re[:, j].tolist()
-            gil = gammas_im[:, j].tolist()
-            # abs() of a complex is libm hypot, which math.hypot is not (it
-            # rounds its own way and differs in the last ulp for ~0.6% of
-            # coefficients); cmath.phase is atan2.  numpy's complex abs and
-            # arctan2 are off by an ulp too, so both stay scalar.
-            amp = np.array([abs(complex(a, b)) for a, b in zip(grl, gil)])
-            extra = np.array(
-                [
-                    0.0
-                    if (a == 0.0 and b == 0.0)
-                    else (math.atan2(b, a) / TWO_PI) * wl
-                    for a, b in zip(grl, gil)
-                ]
-            )
-            a_img = amp * self.fs_img_np[j][tag_idx]
-            length = self.d_img_np[j][tag_idx] - extra
-            # cmath.exp(-1j * TWO_PI * length / wl): the exponent's real
-            # part is a signed zero (exp of it is exactly 1), its imaginary
-            # part is ((-TWO_PI) * length) / wl with exactly this grouping.
-            theta = ((-TWO_PI) * length) / wl
-            c = np.cos(theta)
-            s = np.sin(theta)
-            g_re = g_re + (a_img * c - 0.0 * s)
-            g_im = g_im + (a_img * s + 0.0 * c)
+        detune = np.zeros(m)
+        if template is not None:
+            tag_xyz = self.tag_positions_np[tag_idx]
+            # (M, S) hops over the hand and its arm points.
+            body = hand_xyz[:, None, :] + template.body_offsets()
+            to_body = body - self._ant_np
+            to_tag = tag_xyz[:, None, :] - body
+            d1 = np.sqrt(np.einsum("msk,msk->ms", to_body, to_body))
+            d2 = np.sqrt(np.einsum("msk,msk->ms", to_tag, to_tag))
+            # A degenerate hop carries no ray (the scalar model skips it);
+            # unit stand-ins keep the divisions finite before the mask.
+            valid = (d1 > 0.0) & (d2 > 0.0)
+            d1 = np.where(valid, d1, 1.0)
+            d2 = np.where(valid, d2, 1.0)
+            cos_t = np.clip((to_body @ self._boresight_np) / d1, -1.0, 1.0)
+            amp = np.sqrt(
+                self._gain_linear * self._pattern(cos_t) * template.body_rcs()
+                * self.tag_gains_np[tag_idx, None] * self._scatter_const
+            ) / (d1 * d2)
+            rays = np.where(valid, amp * np.exp(self._neg_jk * (d1 + d2)), 0.0)
+            g = g + rays.sum(axis=1)
 
-        # --- dynamic scatterers: hand + arm points ------------------------
-        if hand_xyz is not None and template is not None:
-            tag_x = self.tag_positions_np[tag_idx, 0]
-            tag_y = self.tag_positions_np[tag_idx, 1]
-            tag_z = self.tag_positions_np[tag_idx, 2]
-            gt = self.tag_gains_np[tag_idx]
-            hx = hand_xyz[:, 0]
-            hy = hand_xyz[:, 1]
-            hz = hand_xyz[:, 2]
-            ax, ay, az = self._ant_xyz
-            b = self._boresight_np
-            bx, by, bz = float(b[0]), float(b[1]), float(b[2])
-            pn = self._pattern_n
-            bl = self._back_lobe
-            gl = self._gain_linear
-            wl2 = wl**2
-            fp3 = FOUR_PI**3
-
-            # Scatterer group: the hand plus its arm points, each
-            # position + a body_offsets row, as HandPose.arm_points places them.
-            per_point_rcs = template.arm_rcs_m2 / ARM_POINTS
-            groups = [(hx, hy, hz, template.hand_rcs_m2)] + [
-                (hx + ox, hy + oy, hz + oz, per_point_rcs)
-                for ox, oy, oz in template.body_offsets()[1:].tolist()
-            ]
-
-            for sx, sy, sz, rcs in groups:
-                dx = ax - sx
-                dy = ay - sy
-                dz = az - sz
-                d1 = np.sqrt(dx * dx + dy * dy + dz * dz)
-                e_x = sx - tag_x
-                e_y = sy - tag_y
-                e_z = sz - tag_z
-                d2 = np.sqrt(e_x * e_x + e_y * e_y + e_z * e_z)
-                valid = (d1 > 0.0) & (d2 > 0.0)
-                all_valid = bool(valid.all())
-
-                # gain_towards(sc): direction cosines from the antenna.
-                gdx = sx - ax
-                gdy = sy - ay
-                gdz = sz - az
-                gd2 = gdx * gdx + gdy * gdy + gdz * gdz
-                gd2_safe = gd2 if all_valid else np.where(gd2 > 0.0, gd2, 1.0)
-                cos_t = (gdx * bx + gdy * by + gdz * bz) / np.sqrt(gd2_safe)
-                cos_t = np.maximum(-1.0, np.minimum(1.0, cos_t))
-
-                # Scalar loops: the cos^n pattern and the d^2 terms are libm
-                # pow in the scalar reference (x ** n, x ** 2), which no
-                # numpy spelling reproduces bit-for-bit.
-                cosl = cos_t.tolist()
-                if pn > 0.0:
-                    pat = np.array(
-                        [max(c**pn, bl) if c >= 0.0 else bl for c in cosl]
-                    )
-                else:
-                    pat = np.array([max(1.0, bl) if c >= 0.0 else bl for c in cosl])
-                d1sq = np.array([v**2 for v in d1.tolist()])
-                d2sq = np.array([v**2 for v in d2.tolist()])
-
-                gr_sc = gl * pat
-                power_gain = (((gr_sc * gt) * wl2) * rcs) / ((fp3 * d1sq) * d2sq)
-                a_sc = np.sqrt(power_gain)
-                theta = ((-TWO_PI) * (d1 + d2)) / wl
-                c = np.cos(theta)
-                s = np.sin(theta)
-                t_re = a_sc * c - 0.0 * s
-                t_im = a_sc * s + 0.0 * c
-                if all_valid:
-                    g_re = g_re + t_re
-                    g_im = g_im + t_im
-                else:
-                    # The scalar loop `continue`s on degenerate hops: a
-                    # masked where (not an add of 0.0) keeps -0.0 intact.
-                    g_re = np.where(valid, g_re + t_re, g_re)
-                    g_im = np.where(valid, g_im + t_im, g_im)
-
-            # --- near-field shadow + detuning (hand only; scalar libm) ----
-            sd = template.shadow_depth_db
-            dr = template.detune_rad
-            if sd > 0.0 or dr != 0.0:
-                hand_sc = template.scatterers(include_arm=False)[0]
-                s_ls = hand_sc.shadow_lateral_scale
-                s_vs = hand_sc.shadow_vertical_scale
-                d_ls = hand_sc.detune_lateral_scale
-                d_vs = hand_sc.detune_vertical_scale
-                shl: "List[float]" = []
-                dtl: "List[float]" = []
-                fal: "List[float]" = []
-                for xh, yh, zh, xt, yt, zt in zip(
-                    hx.tolist(), hy.tolist(), hz.tolist(),
-                    tag_x.tolist(), tag_y.tolist(), tag_z.tolist(),
-                ):
-                    lat = math.hypot(xh - xt, yh - yt)
-                    vert = abs(zh - zt)
-                    if sd > 0.0:
-                        sh = sd * math.exp(
-                            -0.5 * (lat / s_ls) ** 2 - 0.5 * (vert / s_vs) ** 2
-                        )
-                        shl.append(sh)
-                        # g *= sqrt(db_to_linear(-shadow_db)) when > 0 dB.
-                        fal.append(
-                            math.sqrt(10.0 ** ((-sh) / 10.0)) if sh > 0.0 else 1.0
-                        )
-                    if dr != 0.0:
-                        dtl.append(
-                            dr * math.exp(
-                                -0.5 * (lat / d_ls) ** 2 - 0.5 * (vert / d_vs) ** 2
-                            )
-                        )
-                if dr != 0.0:
-                    out_detune = np.array(dtl)
-                if sd > 0.0:
-                    sh_arr = np.array(shl)
-                    fac = np.array(fal)
-                    apply = sh_arr > 0.0
-                    # complex *= float expands with (f, 0.0) cross terms.
-                    new_re = g_re * fac - g_im * 0.0
-                    new_im = g_re * 0.0 + g_im * fac
-                    if bool(apply.all()):
-                        g_re, g_im = new_re, new_im
-                    else:
-                        g_re = np.where(apply, new_re, g_re)
-                        g_im = np.where(apply, new_im, g_im)
-
-        # --- roundtrip: (sqrt(Pt*m) * g) * g ------------------------------
-        c0 = sqrt_txp_eff
-        h_re = c0 * g_re - 0.0 * g_im
-        h_im = c0 * g_im + 0.0 * g_re
-        s_re = h_re * g_re - h_im * g_im
-        s_im = h_re * g_im + h_im * g_re
-        return s_re, s_im, out_detune
+            # Near-field shadow and detuning of the hand over the tag.
+            hand = template.scatterers(include_arm=False)[0]
+            dx, dy, dz = (hand_xyz - tag_xyz).T
+            lateral = np.hypot(dx, dy)
+            vertical = np.abs(dz)
+            if hand.shadow_depth_db > 0.0:
+                shadow_db = hand.shadow_depth_db * np.exp(
+                    -0.5 * (lateral / hand.shadow_lateral_scale) ** 2
+                    - 0.5 * (vertical / hand.shadow_vertical_scale) ** 2
+                )
+                g = g * 10.0 ** (-shadow_db / 20.0)
+            if hand.detune_rad != 0.0:
+                detune = hand.detune_rad * np.exp(
+                    -0.5 * (lateral / hand.detune_lateral_scale) ** 2
+                    - 0.5 * (vertical / hand.detune_vertical_scale) ** 2
+                )
+        return sqrt_txp_eff * g * g, detune
 
     # ------------------------------------------------------------------
 

@@ -16,7 +16,6 @@ near an arm point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence
 
@@ -92,6 +91,12 @@ class HandPose:
             k = self.arm_length * row / ARM_POINTS
             out[row] = (ux * k, uy * k, uz * k)
         return out
+
+    def body_rcs(self) -> np.ndarray:
+        """``(1 + ARM_POINTS,)`` RCS of the body points, aligned with
+        :meth:`body_offsets`: the hand's, then the arm's split evenly over
+        its points."""
+        return np.array([self.hand_rcs_m2] + [self.arm_rcs_m2 / ARM_POINTS] * ARM_POINTS)
 
     def scatterers(self, include_arm: bool = True) -> List[Scatterer]:
         """Channel scatterers for this pose.
@@ -186,41 +191,6 @@ class PoseTrack:
         )
 
 
-def point_to_segment_distance(p: Vec3, a: Vec3, b: Vec3) -> float:
-    """Shortest distance from point ``p`` to segment ``ab``."""
-    ab = b - a
-    denom = ab.dot(ab)
-    if denom == 0.0:
-        return p.distance_to(a)
-    t = (p - a).dot(ab) / denom
-    t = max(0.0, min(1.0, t))
-    return p.distance_to(a + ab * t)
-
-
-def occlusion_loss_db(
-    antenna_position: Vec3,
-    tag_position: Vec3,
-    pose: "HandPose | None",
-) -> float:
-    """Direct-path loss (dB) when the hand/arm cuts the reader-tag LOS.
-
-    Loss is maximal (:data:`OCCLUSION_DEPTH_DB` per body point) when a body
-    point sits on the antenna->tag segment and decays as a Gaussian of its
-    clearance relative to :data:`OCCLUSION_FRESNEL_RADIUS_M`.  Returns 0 for
-    ``pose is None`` (no hand in the scene).  The scalar reference for the
-    two vectorized forms below.
-    """
-    if pose is None:
-        return 0.0
-    total = 0.0
-    for body_point in [pose.position] + pose.arm_points():
-        clearance = point_to_segment_distance(body_point, antenna_position, tag_position)
-        total += OCCLUSION_DEPTH_DB * math.exp(
-            -0.5 * (clearance / OCCLUSION_FRESNEL_RADIUS_M) ** 2
-        )
-    return total
-
-
 class SightLines(NamedTuple):
     """The antenna->tag segments occlusion is measured against.
 
@@ -240,9 +210,12 @@ class SightLines(NamedTuple):
 
 
 def occlusion_loss_db_batch(lines: SightLines, body_xyz: np.ndarray) -> np.ndarray:
-    """:func:`occlusion_loss_db` of every tag for a stack of body-point sets
-    — the readability tier.
+    """Direct-path loss (dB) of every tag when the hand and arm cut its
+    line of sight, for a stack of body-point sets — the readability tier.
 
+    Each body point costs up to :data:`OCCLUSION_DEPTH_DB`, decaying as a
+    Gaussian of its clearance from the antenna->tag segment on the scale
+    :data:`OCCLUSION_FRESNEL_RADIUS_M`; the losses of the points add.
     ``body_xyz`` is one pose's ``(S, 3)`` body points (the hand and its arm
     points), giving ``(N,)`` losses, or a ``(K, S, 3)`` stack of K poses,
     giving ``(K, N)``; each row of a stack is bit-equal to its one-pose
@@ -250,9 +223,9 @@ def occlusion_loss_db_batch(lines: SightLines, body_xyz: np.ndarray) -> np.ndarr
     projection onto the segments, which stays one ``(1, 3) @ (3, N)``
     product per point (numpy runs the same BLAS call for each point of a
     stacked matmul): a single ``(S, 3) @ (3, N)`` matmul takes another
-    BLAS kernel whose rounding differs.  Matches the scalar function to
-    floating-point noise (not bit-for-bit: numpy's ``exp`` and norm are
-    not libm's).  No body points (no hand) means no loss.
+    BLAS kernel whose rounding differs.  Matches the scalar reference
+    (``tests/physics/read_oracles.py``) to floating-point noise.  No body
+    points (no hand) means no loss.
     """
     a, ab, ab_sq = lines
     proj = ((body_xyz - a)[..., None, :] @ ab.T)[..., 0, :]
@@ -261,71 +234,41 @@ def occlusion_loss_db_batch(lines: SightLines, body_xyz: np.ndarray) -> np.ndarr
     d = body_xyz[..., None, :] - (a + t[..., None] * ab)
     # np.linalg.norm(d, axis=-1) for real input, without its wrapper.
     clearance = np.sqrt(np.add.reduce(d * d, axis=-1))
-    loss = OCCLUSION_DEPTH_DB * np.exp(
-        -0.5 * (clearance / OCCLUSION_FRESNEL_RADIUS_M) ** 2
-    )
     # A reduction over the points' axis (not the contiguous one) adds their
     # rows in order, as a running ``total += loss`` would (pairwise
     # summation applies only along the contiguous axis).
-    return loss.sum(axis=-2)
+    return _point_loss_db(clearance).sum(axis=-2)
+
+
+def _point_loss_db(clearance: np.ndarray) -> np.ndarray:
+    """One body point's direct-path loss at ``clearance`` from a segment."""
+    return OCCLUSION_DEPTH_DB * np.exp(
+        -0.5 * (clearance / OCCLUSION_FRESNEL_RADIUS_M) ** 2
+    )
 
 
 def occlusion_loss_db_rows(
-    antenna_position: Vec3,
-    tag_xyz: np.ndarray,
-    hand_xyz: np.ndarray,
-    template: HandPose,
+    lines: SightLines, tag_idx: np.ndarray, body_xyz: np.ndarray
 ) -> np.ndarray:
-    """Per-read :func:`occlusion_loss_db`, bit-identical row by row.
+    """Per-read occlusion loss: row ``i`` is the loss on the line of sight
+    to tag ``tag_idx[i]`` with the body points ``body_xyz[i]``.
 
-    Row ``i`` is the loss on the antenna -> ``tag_xyz[i]`` segment with the
-    hand at ``hand_xyz[i]`` in ``template``'s arm geometry (its position is
-    ignored).  The ``Vec3`` arithmetic runs elementwise in the scalar
-    operator order — subtract, dot as ``x*x + y*y + z*z``, clamp, sqrt —
-    and the libm terms (``** 2``, ``exp``) stay in a flat float loop, as in
-    ``ChannelEngine.backscatter_rows``.
+    ``body_xyz`` is an ``(M, S, 3)`` block, one set of hand + arm points
+    per read; the loss is :func:`occlusion_loss_db_batch`'s, evaluated only
+    on each read's own segment, as one whole-array pass.  A tag at the
+    antenna (a zero-length segment) measures clearance from the antenna.
+    Matches the scalar reference (``tests/physics/read_oracles.py``) to
+    floating-point noise.
     """
-    ax, ay, az = antenna_position.x, antenna_position.y, antenna_position.z
-    abx = tag_xyz[:, 0] - ax
-    aby = tag_xyz[:, 1] - ay
-    abz = tag_xyz[:, 2] - az
-    denom = abx * abx + aby * aby + abz * abz
-    degenerate = denom == 0.0
-    any_degenerate = bool(degenerate.any())
-    if any_degenerate:
-        denom = np.where(degenerate, 1.0, denom)
-    hx, hy, hz = hand_xyz[:, 0], hand_xyz[:, 1], hand_xyz[:, 2]
-    # The hand itself, then position + u*k per arm point (as arm_points).
-    points = [(hx, hy, hz)] + [
-        (hx + ox, hy + oy, hz + oz) for ox, oy, oz in template.body_offsets()[1:].tolist()
-    ]
-    clearances = []
-    for px, py, pz in points:
-        pax = px - ax
-        pay = py - ay
-        paz = pz - az
-        t = (pax * abx + pay * aby + paz * abz) / denom
-        t = np.where(t < 1.0, t, 1.0)  # min(1.0, t)
-        t = np.where(t > 0.0, t, 0.0)  # max(0.0, ...)
-        dx = px - (ax + abx * t)
-        dy = py - (ay + aby * t)
-        dz = pz - (az + abz * t)
-        clearance = np.sqrt(dx * dx + dy * dy + dz * dz)
-        if any_degenerate:
-            # A zero-length segment: the distance to the antenna itself.
-            clearance = np.where(
-                degenerate, np.sqrt(pax * pax + pay * pay + paz * paz), clearance
-            )
-        clearances.append(clearance.tolist())
-    out = []
-    for row in zip(*clearances):
-        total = 0.0
-        for clearance in row:
-            total += OCCLUSION_DEPTH_DB * math.exp(
-                -0.5 * (clearance / OCCLUSION_FRESNEL_RADIUS_M) ** 2
-            )
-        out.append(total)
-    return np.array(out)
+    a, ab, ab_sq = lines
+    ab = ab[tag_idx]
+    ab_sq = ab_sq[tag_idx][:, None]
+    to_body = body_xyz - a
+    proj = np.einsum("msk,mk->ms", to_body, ab)
+    t = np.divide(proj, ab_sq, out=np.zeros_like(proj), where=ab_sq != 0.0)
+    d = to_body - np.clip(t, 0.0, 1.0)[..., None] * ab[:, None, :]
+    clearance = np.sqrt(np.einsum("msk,msk->ms", d, d))
+    return _point_loss_db(clearance).sum(axis=1)
 
 
 def hand_height_profile(speed: float) -> float:

@@ -16,21 +16,13 @@ Two non-idealities matter for RFIPad's accuracy story:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ..units import (
-    PHASE_QUANTUM_RAD,
-    RSS_QUANTUM_DB,
-    dbm_to_watts,
-    quantise,
-    watts_to_dbm_floor,
-    wrap_phase,
-)
+from ..units import PHASE_QUANTUM_RAD, RSS_QUANTUM_DB, TWO_PI, dbm_to_watts
 
 
 #: Thermal noise floor of a commodity UHF reader front end (dBm).  kTB for
@@ -75,142 +67,43 @@ class ReceiverNoise:
             return 0.0
         return signal_power_w / self.noise_floor_w
 
-    def observe(
-        self, baseband: complex, rng: np.random.Generator
-    ) -> "tuple[float, float]":
-        """Turn a noiseless baseband voltage into a reported (rss_dbm, phase).
-
-        Returns the quantised RSS in dBm and the quantised wrapped phase in
-        [0, 2*pi).  The input carries the channel plus circuit phase; this
-        function only adds receiver impairments.
-        """
-        # One batched draw for I and Q: numpy fills the pair with the same
-        # (bit-identical) values as two sequential scalar draws.
-        iq = rng.normal(0.0, self._iq_sigma, size=2)
-        noisy = baseband + complex(iq[0], iq[1])
-        power_w = abs(noisy) ** 2
-        rss_dbm = watts_to_dbm_floor(power_w)
-
-        # Low-signal front-end impairments (AGC steps, coarse I/Q).
-        deficit_db = max(0.0, self.agc_reference_dbm - rss_dbm)
-        phase_sigma = math.hypot(
-            self.residual_phase_jitter_rad,
-            self.agc_phase_slope_rad_per_db * deficit_db,
-        )
-        rss_sigma = self.base_rss_jitter_db + self.agc_rss_slope_db_per_db * deficit_db
-
-        rss_dbm = quantise(rss_dbm + rng.normal(0.0, rss_sigma), self.rss_quantum_db)
-        phase = cmath.phase(noisy) + rng.normal(0.0, phase_sigma)
-        phase = quantise(wrap_phase(phase), self.phase_quantum_rad)
-        # Quantisation can land exactly on 2*pi; fold back.
-        return rss_dbm, wrap_phase(phase)
-
-    def observe_with_draws(
-        self,
-        baseband: complex,
-        z_iq0: float,
-        z_iq1: float,
-        z_rss: float,
-        z_phase: float,
-    ) -> "tuple[float, float]":
-        """:meth:`observe` over pre-drawn standard normals.
-
-        The batched reader path draws one standard-normal block per
-        inventory round and hands each read its four draws (I, Q, RSS,
-        phase — the order :meth:`observe` consumes them).  ``normal(0, s)``
-        draws a standard normal and scales it by ``s`` (bit-identical to
-        ``standard_normal() * s``), so feeding the same stream through this
-        method reproduces :meth:`observe`'s reports exactly.
-        """
-        noisy = baseband + complex(z_iq0 * self._iq_sigma, z_iq1 * self._iq_sigma)
-        power_w = abs(noisy) ** 2
-        rss_dbm = watts_to_dbm_floor(power_w)
-
-        deficit_db = max(0.0, self.agc_reference_dbm - rss_dbm)
-        phase_sigma = math.hypot(
-            self.residual_phase_jitter_rad,
-            self.agc_phase_slope_rad_per_db * deficit_db,
-        )
-        rss_sigma = self.base_rss_jitter_db + self.agc_rss_slope_db_per_db * deficit_db
-
-        rss_dbm = quantise(rss_dbm + z_rss * rss_sigma, self.rss_quantum_db)
-        phase = cmath.phase(noisy) + z_phase * phase_sigma
-        phase = quantise(wrap_phase(phase), self.phase_quantum_rad)
-        return rss_dbm, wrap_phase(phase)
-
     def observe_many(
-        self,
-        base_re: np.ndarray,
-        base_im: np.ndarray,
-        z_iq0: np.ndarray,
-        z_iq1: np.ndarray,
-        z_rss: np.ndarray,
-        z_phase: np.ndarray,
-    ) -> "tuple[list[float], list[float]]":
-        """:meth:`observe_with_draws` over whole read batches, bit-identically.
+        self, baseband: np.ndarray, z: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Turn M noiseless baseband voltages into reported (rss_dbm, phase).
 
-        Only operations that are exactly elementwise on IEEE doubles are
-        vectorized (`+ - *`, ``np.maximum``); everything whose scalar result
-        could differ from the numpy ufunc — ``abs`` of a complex (libm
-        hypot), ``log10``, ``math.hypot``, ``round``, ``cmath.phase``,
-        ``math.fmod`` — stays in a fused scalar loop with the helper bodies
-        inlined, so each read sees the identical operation sequence as
-        :meth:`observe_with_draws`.  Returns (rss_dbm, phase) lists.
+        ``baseband`` is the complex ``(M,)`` voltage at the reader (channel
+        plus circuit phase); ``z`` the ``(M, 4)`` standard-normal draws of
+        each read, in the order I, Q, RSS jitter, phase jitter.  Returns the
+        RSS in dBm quantised to ``rss_quantum_db`` (floored at -120 dBm) and
+        the phase wrapped into [0, 2*pi) and quantised to
+        ``phase_quantum_rad``, as ``(M,)`` arrays.
+
+        One whole-array pass.  It matches the scalar reference
+        (``observe_with_draws`` in ``tests/physics/read_oracles.py``) report
+        for report: numpy's ``log10``/``arctan2``/``hypot`` may differ from
+        libm in the last ulp, and only a value within that ulp of a
+        quantisation boundary would round differently (DESIGN.md §13).
         """
         sigma = self._iq_sigma
-        noisy_re = base_re + z_iq0 * sigma
-        noisy_im = base_im + z_iq1 * sigma
+        re = baseband.real + z[:, 0] * sigma
+        im = baseband.imag + z[:, 1] * sigma
+        power_mw = (re * re + im * im) * 1000.0
+        # p <= 0 has no dBm: its log is -inf, which the floor clamps.
+        log_mw = np.log10(power_mw, out=np.full(power_mw.shape, -np.inf), where=power_mw > 0.0)
+        rss = np.maximum(-120.0, 10.0 * log_mw)
 
-        # Scalar pass 1: complex magnitude -> floored dBm, principal phase.
-        # Bodies of watts_to_dbm_floor inlined (same ops, same order).
-        rss_l: "list[float]" = []
-        ph_l: "list[float]" = []
-        for a, b in zip(noisy_re.tolist(), noisy_im.tolist()):
-            c = complex(a, b)
-            p = abs(c) ** 2
-            if p <= 0.0:
-                rss_l.append(-120.0)
-            else:
-                rss_l.append(max(-120.0, 10.0 * math.log10(p * 1000.0)))
-            ph_l.append(cmath.phase(c))
-
-        # Elementwise-exact vector arithmetic for the AGC deficit terms.
-        deficit = np.maximum(0.0, self.agc_reference_dbm - np.array(rss_l))
-        rss_val = (
-            np.array(rss_l)
-            + z_rss
-            * (self.base_rss_jitter_db + self.agc_rss_slope_db_per_db * deficit)
+        # Low-signal front-end impairments (AGC steps, coarse I/Q).
+        deficit = np.maximum(0.0, self.agc_reference_dbm - rss)
+        phase_sigma = np.hypot(
+            self.residual_phase_jitter_rad, self.agc_phase_slope_rad_per_db * deficit
         )
+        rss_sigma = self.base_rss_jitter_db + self.agc_rss_slope_db_per_db * deficit
 
-        # Scalar pass 2: hypot sigma, quantisation, and phase wrap (bodies
-        # of quantise/wrap_phase inlined; round() == rint on doubles but we
-        # keep the scalar builtin to stay byte-for-byte with observe()).
-        res_j = self.residual_phase_jitter_rad
-        p_slope = self.agc_phase_slope_rad_per_db
-        q_rss = self.rss_quantum_db
-        q_ph = self.phase_quantum_rad
-        two_pi = 2.0 * math.pi
-        out_r: "list[float]" = []
-        out_p: "list[float]" = []
-        for v, ph, zp, d in zip(
-            rss_val.tolist(), ph_l, z_phase.tolist(), deficit.tolist()
-        ):
-            out_r.append(round(v / q_rss) * q_rss if q_rss > 0.0 else v)
-            phase = ph + zp * math.hypot(res_j, p_slope * d)
-            w = math.fmod(phase, two_pi)
-            if w < 0.0:
-                w += two_pi
-            if w >= two_pi:
-                w -= two_pi
-            if q_ph > 0.0:
-                w = round(w / q_ph) * q_ph
-            w2 = math.fmod(w, two_pi)
-            if w2 < 0.0:
-                w2 += two_pi
-            if w2 >= two_pi:
-                w2 -= two_pi
-            out_p.append(w2)
-        return out_r, out_p
+        rss = _quantise(rss + z[:, 2] * rss_sigma, self.rss_quantum_db)
+        phase = np.arctan2(im, re) + z[:, 3] * phase_sigma
+        # Quantisation can land exactly on 2*pi; wrap again.
+        return rss, _wrap(_quantise(_wrap(phase), self.phase_quantum_rad))
 
     def phase_std_estimate(self, signal_power_w: float) -> float:
         """Predicted phase std (radians) at a given backscatter power.
@@ -225,24 +118,17 @@ class ReceiverNoise:
         return math.hypot(thermal, self.residual_phase_jitter_rad)
 
 
-def doppler_estimate_hz(
-    phase_now: float, phase_prev: float, dt: float, wavelength: float
-) -> float:
-    """Doppler shift a reader derives from successive phase reads.
+def _wrap(phase: np.ndarray) -> np.ndarray:
+    """:func:`~repro.units.wrap_phase` over an array: into [0, 2*pi)."""
+    wrapped = np.fmod(phase, TWO_PI)
+    wrapped = np.where(wrapped < 0.0, wrapped + TWO_PI, wrapped)
+    # fmod can return TWO_PI itself through rounding; normalise.
+    return np.where(wrapped >= TWO_PI, wrapped - TWO_PI, wrapped)
 
-    Commodity readers report Doppler as the finite difference of phase over
-    the read interval; at typical read rates this is dominated by noise —
-    exactly the paper's observation (Fig. 2a) that Doppler is useless for
-    distinguishing hand movement.  ``wavelength`` is unused in the finite
-    difference itself but kept for interface clarity with reader firmware
-    conventions (phase-per-time to Hz conversion).
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    dphi = phase_now - phase_prev
-    # Fold to the principal branch: |dphi| <= pi.
-    while dphi > math.pi:
-        dphi -= 2.0 * math.pi
-    while dphi < -math.pi:
-        dphi += 2.0 * math.pi
-    return dphi / (2.0 * math.pi * dt)
+
+def _quantise(value: np.ndarray, quantum: float) -> np.ndarray:
+    """:func:`~repro.units.quantise` over an array: ``np.rint`` rounds half
+    to even, as Python's ``round`` does."""
+    if quantum <= 0.0:
+        return value
+    return np.rint(value / quantum) * quantum

@@ -31,8 +31,8 @@ from ..physics.hand import (
     occlusion_loss_db_rows,
 )
 from ..physics.multipath import Environment, free_space
-from ..physics.noise import ReceiverNoise, doppler_estimate_hz
-from ..units import DEFAULT_FREQUENCY_HZ, db_to_linear, dbm_to_watts, wavelength
+from ..physics.noise import ReceiverNoise
+from ..units import DEFAULT_FREQUENCY_HZ, TWO_PI, db_to_linear, dbm_to_watts, wavelength
 from .deployment import TagArray
 from .inventory_vec import RoundBatchInventory
 from .protocol import InventoryStats, LinkProfile
@@ -148,10 +148,15 @@ class Reader:
 
     Every read runs through one path: the round-batched MAC
     (:class:`RoundBatchInventory`), readability from one
-    :meth:`ChannelEngine.scene_powers` evaluation per round, and each
-    success through :meth:`ChannelEngine.backscatter_rows`.  The scalar
-    per-slot, per-tag reference it reproduces bit for bit lives with the
-    tests (``tests/rfid/collect_oracles.py``, checked by
+    :meth:`ChannelEngine.scene_powers_trials` evaluation per checked block
+    of rounds, and one whole-array emit per collect: the channel of every
+    success (:meth:`ChannelEngine.backscatter_rows`), receiver noise
+    (:meth:`ReceiverNoise.observe_many`) and the Doppler fold, with no
+    loop over reads.  The emit's intermediates may differ from the scalar
+    reference's libm values in the last ulp; its quantised reports do not.
+    The scalar per-slot, per-read reference whose report logs it
+    reproduces bit for bit lives with the tests
+    (``tests/rfid/collect_oracles.py``, checked by
     ``tests/rfid/test_determinism.py``).
     """
 
@@ -194,7 +199,19 @@ class Reader:
             antenna.position, self._engine.tag_positions_np
         )
         self._one_way_loss = math.sqrt(db_to_linear(-config.system_loss_db))
-        self._last_read: Dict[int, Tuple[float, float]] = {}  # tag -> (t, phase)
+        # Per-tag emit constants, gathered by each read's tag: the
+        # roundtrip scale sqrt(Pt * m_tag), the circuit phase theta_R +
+        # theta_T + theta_tag, and the report's tag-index and EPC columns.
+        tags = array.tags
+        self._sqrt_txp_eff = np.sqrt(
+            config.tx_power_w * np.array([tag.modulation_efficiency for tag in tags])
+        )
+        self._circuit_phase = config.theta_reader + np.array([tag.theta_tag for tag in tags])
+        self._index_col = np.array([tag.index for tag in tags], dtype=np.int64)
+        self._epc_col = np.array([tag.epc for tag in tags], dtype=object)
+        # Doppler history: each tag's last read time (NaN: none yet) and phase.
+        self._last_t = np.full(len(tags), np.nan)
+        self._last_phase = np.zeros(len(tags))
         # Per-template readability arrays (arm offsets, RCS column, shadow
         # params) keyed by the pose's parameter tuple — poses share a
         # template per script, so this is computed once per session.
@@ -237,8 +254,7 @@ class Reader:
         entry = self._pose_cache.get(key)
         if entry is None:
             offsets = pose.body_offsets()
-            per_point = pose.arm_rcs_m2 / 3
-            rcs = np.array([pose.hand_rcs_m2, per_point, per_point, per_point])
+            rcs = pose.body_rcs()
             hand_sc = pose.scatterers(include_arm=False)[0]
             shadow = (
                 hand_sc.shadow_depth_db,
@@ -602,131 +618,101 @@ class Reader:
         pose_at_many: Optional[PoseTrackFn],
         out: ReportLog,
     ) -> None:
-        """Evaluate one window's successes through the row kernel and emit."""
-        m = times.size
+        """Evaluate one window's successes as whole arrays and emit them.
+
+        Each read gets the channel at its own timestamp
+        (:meth:`ChannelEngine.backscatter_rows`, one call per pose
+        template), the circuit phase, receiver noise
+        (:meth:`ReceiverNoise.observe_many`) and a Doppler estimate from
+        its tag's previous read.  Every report equals the scalar reference
+        read's (``tests/rfid/collect_oracles.py``) exactly.
+        """
         engine = self._engine
         config = self.config
-        tags = self.array.tags
-
         # Poses for every success timestamp — one vectorized call, or the
         # scalar clock exactly once per timestamp as the fallback.
         track = _pose_track(times, pose_at, pose_at_many)
-
-        # Per-tag window constants, with the scalar expressions verbatim.
-        amp_by_tag: List[float] = []
-        sqrt_te: List[float] = []
-        trt: List[float] = []
-        for tag, a in zip(tags, engine.a_direct_np.tolist()):
-            loss_db = tag.static_shadow_db
-            amp_by_tag.append(
-                a * math.sqrt(db_to_linear(-loss_db)) if loss_db > 0.0 else a
-            )
-            sqrt_te.append(math.sqrt(config.tx_power_w * tag.modulation_efficiency))
-            trt.append(config.theta_reader + tag.theta_tag)
-        amp_rows = np.array(amp_by_tag)[winners]
-        sqrt_te_rows = np.array(sqrt_te)[winners]
-
-        # Reflector flutter for all rows at once, from the same draws the
-        # scalar reference consumes per read.
+        # Reflector flutter for all rows at once, from each read's draws.
         g_re, g_im = self.environment.sample_gammas_rows(z[:, :nz_f])
 
-        # Row-batched channel kernel, grouped by hand presence/template.
-        s_re = np.empty(m)
-        s_im = np.empty(m)
-        detune = np.zeros(m)
-        groups: List[Tuple[np.ndarray, Optional[np.ndarray], Optional[HandPose]]] = []
-        absent = np.nonzero(~track.present)[0]
-        if absent.size:
-            groups.append((absent, None, None))
-        for k, tmpl in enumerate(track.templates):
-            rows = np.nonzero(track.template_idx == k)[0]
-            if rows.size:
-                groups.append((rows, track.xyz[rows], tmpl))
-        for rows, hand_xyz, tmpl in groups:
-            amp = amp_rows[rows]
+        # The channel per pose template: hand-free rows, then each
+        # template's rows (LOS rows under their own arm occlusion).
+        s = np.empty(times.size, dtype=complex)
+        detune = np.zeros(times.size)
+        groups: List[Tuple[np.ndarray, Optional[HandPose]]] = [
+            (np.flatnonzero(~track.present), None)
+        ] + [
+            (np.flatnonzero(track.template_idx == k), tmpl)
+            for k, tmpl in enumerate(track.templates)
+        ]
+        for rows, tmpl in groups:
+            if not rows.size:
+                continue
+            w = winners[rows]
+            hand_xyz = None if tmpl is None else track.xyz[rows]
+            loss = self._static_loss_db[w]
             if tmpl is not None and config.los_occlusion:
-                amp = self._occluded_amp(winners[rows], hand_xyz, tmpl)
-            sr, si, dt = engine.backscatter_rows(
-                winners[rows],
-                amp,
-                sqrt_te_rows[rows],
+                body = hand_xyz[:, None, :] + tmpl.body_offsets()
+                loss = loss + occlusion_loss_db_rows(self._sight_lines, w, body)
+            s[rows], detune[rows] = engine.backscatter_rows(
+                w,
+                engine.a_direct_np[w] * 10.0 ** (-loss / 20.0),
+                self._sqrt_txp_eff[w],
                 g_re[rows],
                 g_im[rows],
                 hand_xyz=hand_xyz,
                 template=tmpl,
             )
-            s_re[rows] = sr
-            s_im[rows] = si
-            detune[rows] = dt
 
-        # s *= one_way_loss**2 (complex-times-float product expansion).
-        l2 = self._one_way_loss**2
-        sr2 = s_re * l2 - s_im * 0.0
-        si2 = s_re * 0.0 + s_im * l2
-        # s *= cmath.exp(-1j * angle): the exponent's real part is +0.0 and
-        # its imaginary part is -0.0 + (-1.0) * angle (the -1j product
-        # expansion), so the rotation phasor is (cos(im), sin(im)).
-        ang = np.array(trt)[winners] + detune
-        im = -0.0 + (-1.0) * ang
-        rot_c = np.cos(im)
-        rot_s = np.sin(im)
-        fr = sr2 * rot_c - si2 * rot_s
-        fi = sr2 * rot_s + si2 * rot_c
-
-        # Receiver impairments for the whole window at once (hybrid exact
-        # vectorization; see ReceiverNoise.observe_many), then a slim scalar
-        # pass for the stateful per-tag Doppler fold in time order.
-        rsss, phases = self.noise.observe_many(
-            fr, fi, z[:, nz_f], z[:, nz_f + 1], z[:, nz_f + 2], z[:, nz_f + 3]
-        )
-        last = self._last_read
-        wl = config.wavelength
-        dopps: List[float] = []
-        t_l = times.tolist()
-        w_l = winners.tolist()
-        for w, t, phase in zip(w_l, t_l, phases):
-            doppler = 0.0
-            prev = last.get(w)
-            if prev is not None:
-                t_prev, phase_prev = prev
-                if t > t_prev:
-                    doppler = doppler_estimate_hz(phase, phase_prev, t - t_prev, wl)
-            last[w] = (t, phase)
-            dopps.append(doppler)
-
+        # Both link legs' system loss, then the circuit phase offsets:
+        # reader TX+RX chain, the tag's reflection characteristic (Eqs.
+        # 6-7) and the near-field detuning a hovering hand imposes.
+        s = s * self._one_way_loss**2 * np.exp(-1j * (self._circuit_phase[winners] + detune))
+        rss, phases = self.noise.observe_many(s, z[:, nz_f:])
         out.extend_columns(
             times,
-            np.array([tags[w].index for w in w_l], dtype=np.int64),
-            np.array(phases),
-            np.array(rsss),
-            np.array(dopps),
-            [tags[w].epc for w in w_l],
+            self._index_col[winners],
+            phases,
+            rss,
+            self._doppler(times, winners, phases),
+            self._epc_col[winners],
             antenna_port=config.antenna_port,
         )
 
-    def _occluded_amp(
-        self, winners: np.ndarray, hand_xyz: np.ndarray, template: HandPose
-    ) -> np.ndarray:
-        """Direct amplitudes of LOS reads under their per-read arm occlusion.
+    def _doppler(self, times: np.ndarray, winners: np.ndarray, phases: np.ndarray) -> np.ndarray:
+        """Doppler of each read from its tag's previous read, as a reader
+        reports it: the phase step, folded to |dphi| <= pi, over 2*pi*dt.
 
-        The loss and amplitude expressions are the scalar reference's, row
-        by row (the static shadow plus ``occlusion_loss_db``, scaling the
-        direct amplitude as ``ChannelModel.resolve_paths`` does):
-        :func:`occlusion_loss_db_rows` is exact per row, the adds and the
-        product are exact elementwise, and the libm ``db_to_linear`` stays
-        in a flat float loop.
+        The previous read is the one before it in time order, or the last
+        read of an earlier collect (the history this updates); a tag's
+        first read ever, and a read no later than its previous one, report
+        0.  Quantised phases lie in [0, 2*pi), so one fold each way
+        suffices.
         """
-        engine = self._engine
-        extra = occlusion_loss_db_rows(
-            self.antenna.position, engine.tag_positions_np[winners], hand_xyz, template
-        )
-        static_db = np.array([tag.static_shadow_db for tag in self.array.tags])
-        loss_db = static_db[winners] + extra
-        factor = [
-            math.sqrt(db_to_linear(-loss)) if loss > 0.0 else 1.0
-            for loss in loss_db.tolist()
-        ]
-        return engine.a_direct_np[winners] * np.array(factor)
+        order = np.argsort(winners, kind="stable")
+        w = winners[order]
+        t = times[order]
+        ph = phases[order]
+        first = np.ones(w.size, dtype=bool)
+        first[1:] = w[1:] != w[:-1]
+        t_prev = np.empty_like(t)
+        ph_prev = np.empty_like(ph)
+        t_prev[1:] = t[:-1]
+        ph_prev[1:] = ph[:-1]
+        t_prev[first] = self._last_t[w[first]]
+        ph_prev[first] = self._last_phase[w[first]]
+        # NaN (no previous read) compares False.
+        moved = t > t_prev
+        dphi = ph - ph_prev
+        dphi = np.where(dphi > math.pi, dphi - TWO_PI, dphi)
+        dphi = np.where(dphi < -math.pi, dphi + TWO_PI, dphi)
+        dt = np.where(moved, t - t_prev, 1.0)
+        dopp = np.empty_like(t)
+        dopp[order] = np.where(moved, dphi / (TWO_PI * dt), 0.0)
+        last = np.roll(first, -1)
+        self._last_t[w[last]] = t[last]
+        self._last_phase[w[last]] = ph[last]
+        return dopp
 
     def _record_metrics(self, lane: LaneCollect, out: ReportLog, n_before: int) -> None:
         """Fold one collect() window into the global metrics registry.
@@ -819,7 +805,7 @@ class Reader:
         so a trial's first Doppler estimate never leaks in from whichever
         trial the worker ran before it.
         """
-        self._last_read.clear()
+        self._last_t.fill(np.nan)
 
     def collect_static(self, duration: float, start_time: float = 0.0) -> ReportLog:
         """Inventory with no hand in the scene (calibration captures)."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..rfid.reports import ReportLog
 from ..sim.live import iter_chunks
@@ -167,15 +167,3 @@ def run_loadgen_sync(*args, **kwargs) -> LoadgenResult:
         return loop.run_until_complete(run_loadgen(*args, **kwargs))
     finally:
         loop.close()
-
-
-def loadgen_args_to_tuple(
-    result: LoadgenResult,
-) -> Tuple[int, float, float, float]:
-    """(peak_concurrent, sessions_per_s, p95_ms, p99_ms) — bench fields."""
-    return (
-        result.peak_concurrent,
-        result.sessions_per_s,
-        result.event_p95_ms,
-        result.event_p99_ms,
-    )

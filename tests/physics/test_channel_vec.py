@@ -6,8 +6,10 @@ The engine's contract (see DESIGN.md) has two paths:
   whole-population batch reference (``channel_oracles.one_way_batch``)
   bit for bit, and that reference matches the scalar model to <= 1e-9
   *relative* error on arbitrary geometries;
-* the per-read kernel (``backscatter_rows``) is **bit-identical** row by
-  row to ``ChannelModel.roundtrip`` on the row's fluttered images.
+* the per-read kernel (``backscatter_rows``) matches
+  ``ChannelModel.roundtrip`` on the row's fluttered images to <= 1e-12
+  relative error; the reports built from it are exact (the golden log
+  tests in ``tests/rfid``).
 
 Geometries here are randomized (antenna pose, tag grid, reflector images,
 hand/arm scatterers) so the checks are property tests, not goldens.
@@ -28,13 +30,13 @@ from repro.physics.geometry import Vec3
 from repro.physics.hand import (
     HandPose,
     SightLines,
-    occlusion_loss_db,
     occlusion_loss_db_batch,
     occlusion_loss_db_rows,
 )
 from repro.units import db_to_linear
 
 from .channel_oracles import incident_power_batch, one_way_batch, roundtrip_batch
+from .read_oracles import occlusion_loss_db
 
 WAVELENGTH = 0.327  # ~915 MHz
 
@@ -266,8 +268,15 @@ class TestOcclusionBatch:
                 assert row.tobytes() == _per_point_occlusion(antenna, tags, pose).tobytes()
 
 
+#: Largest relative error allowed a per-read row kernel against its scalar
+#: reference.  Each operation may round differently in the last ulp
+#: (~1e-16), and cancellation among the summed rays magnifies that; the
+#: cases below reach 1.7e-13.
+ROW_RTOL = 1e-12
+
+
 class TestOcclusionRows:
-    def test_rows_bit_identical_to_scalar(self):
+    def test_rows_match_scalar(self):
         rng = np.random.default_rng(57)
         clamped_low = clamped_high = degenerate = 0
         for case in range(12):
@@ -278,12 +287,18 @@ class TestOcclusionRows:
             # Body points above the antenna or below the pad clamp t at 0 / 1.
             hand_xyz = rng.uniform([-0.4, -0.4, -0.6], [0.4, 0.4, 1.6], (m, 3))
             template = _random_template(rng)
-            rows = occlusion_loss_db_rows(antenna, tag_xyz, hand_xyz, template)
+            rows = occlusion_loss_db_rows(
+                SightLines.between(antenna, tag_xyz),
+                np.arange(m),
+                hand_xyz[:, None, :] + template.body_offsets(),
+            )
             assert rows.shape == (m,)
             for i in range(m):
                 tag = Vec3(*tag_xyz[i].tolist())
                 pose = _with_position(template, hand_xyz[i].tolist())
-                assert rows[i] == occlusion_loss_db(antenna, tag, pose)
+                assert rows[i] == pytest.approx(
+                    occlusion_loss_db(antenna, tag, pose), rel=ROW_RTOL, abs=1e-300
+                )
                 for point in [pose.position] + pose.arm_points():
                     t = _segment_t(point, antenna, tag)
                     degenerate += t is None
@@ -297,10 +312,15 @@ class TestOcclusionRows:
         tag_xyz = np.array([[0.0, 0.0, 0.0], [0.06, -0.06, 0.0]])
         template = HandPose(Vec3(0.0, 0.0, 0.0))
         hand_xyz = np.array([antenna.lerp(Vec3(*t), 0.8).as_tuple() for t in tag_xyz.tolist()])
-        rows = occlusion_loss_db_rows(antenna, tag_xyz, hand_xyz, template)
+        rows = occlusion_loss_db_rows(
+            SightLines.between(antenna, tag_xyz),
+            np.array([0, 1]),
+            hand_xyz[:, None, :] + template.body_offsets(),
+        )
         for i in range(2):
             pose = _with_position(template, hand_xyz[i].tolist())
-            assert rows[i] == occlusion_loss_db(antenna, Vec3(*tag_xyz[i].tolist()), pose)
+            want = occlusion_loss_db(antenna, Vec3(*tag_xyz[i].tolist()), pose)
+            assert rows[i] == pytest.approx(want, rel=ROW_RTOL)
             assert rows[i] > 5.0
 
 
@@ -309,15 +329,16 @@ def _pose_at(template, xyz):
     return dataclasses.replace(template, position=Vec3(*xyz))
 
 
-class TestRowKernelBitIdentity:
+class TestRowKernel:
     """``backscatter_rows`` against one ``ChannelModel`` per row, built on
     that row's fluttered reflector coefficients."""
 
-    def test_rows_equal_channel_model_roundtrip(self):
+    def test_rows_match_channel_model_roundtrip(self):
         rng = np.random.default_rng(2718)
         m = 40
         shadow_seen = set()
         detune_seen = set()
+        worst_s = worst_detune = 0.0
         for case in range(32):
             antenna, tags, gains, images, _, _ = random_case(rng)
             _, engine = build_pair(antenna, tags, gains, images)
@@ -334,7 +355,7 @@ class TestRowKernelBitIdentity:
             sqrt_te = np.array([math.sqrt(tx * e) for e in eff.tolist()])
             g_re = rng.uniform(-0.4, 0.4, (m, len(images)))
             g_im = rng.uniform(-0.4, 0.4, (m, len(images)))
-            # A reflector at exactly zero carries no phase term.
+            # A reflector at exactly zero carries no ray.
             g_re[::5] = 0.0
             g_im[::5] = 0.0
             template = hand_xyz = None
@@ -351,12 +372,10 @@ class TestRowKernelBitIdentity:
                 # at the antenna (d1 = 0).
                 hand_xyz[0] = tags[int(tag_idx[0])].as_tuple()
                 hand_xyz[1] = antenna.position.as_tuple()
-            # Degenerate hops divide by zero before the mask drops them.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s_re, s_im, detune = engine.backscatter_rows(
-                    tag_idx, direct_amp, sqrt_te, g_re, g_im,
-                    hand_xyz=hand_xyz, template=template,
-                )
+            s, detune = engine.backscatter_rows(
+                tag_idx, direct_amp, sqrt_te, g_re, g_im,
+                hand_xyz=hand_xyz, template=template,
+            )
             for i in range(m):
                 t = int(tag_idx[i])
                 model = ChannelModel(
@@ -375,9 +394,16 @@ class TestRowKernelBitIdentity:
                 want = model.roundtrip(
                     tx, tags[t], gains[t], float(eff[i]), scs, float(loss[i])
                 )
-                assert complex(s_re[i], s_im[i]) == want
-                assert detune[i] == detuning_phase_rad(tags[t], scs)
+                worst_s = max(worst_s, rel_err(s[i], want))
+                want_detune = detuning_phase_rad(tags[t], scs)
+                if want_detune:
+                    worst_detune = max(worst_detune, abs(detune[i] / want_detune - 1.0))
+                else:
+                    assert detune[i] == 0.0
         assert shadow_seen == {True, False} and detune_seen == {True, False}
+        assert max(worst_s, worst_detune) <= ROW_RTOL, (
+            f"largest relative errors: roundtrip {worst_s:.3g}, detuning {worst_detune:.3g}"
+        )
 
 
 class TestEngineCounters:

@@ -1,12 +1,15 @@
+import numpy as np
 import pytest
 
 from repro.physics.geometry import Vec3
 from repro.physics.hand import (
     HandPose,
+    SightLines,
     hand_height_profile,
-    occlusion_loss_db,
-    point_to_segment_distance,
+    occlusion_loss_db_rows,
 )
+
+from .read_oracles import occlusion_loss_db, point_to_segment_distance
 
 
 def test_scatterers_include_hand_and_arm():
@@ -34,6 +37,8 @@ def test_arm_rcs_split_across_points():
     pose = HandPose(Vec3(0, 0, 0.03))
     arm = pose.scatterers()[1:]
     assert sum(s.rcs_m2 for s in arm) == pytest.approx(pose.arm_rcs_m2)
+    # body_rcs() is the same column, aligned with body_offsets().
+    assert pose.body_rcs().tolist() == [s.rcs_m2 for s in pose.scatterers()]
 
 
 def test_point_to_segment_distance():
@@ -56,6 +61,14 @@ def test_occlusion_strong_when_hand_on_los():
     off_line = HandPose(Vec3(0.5, -0.3, 0.05))
     assert occlusion_loss_db(antenna, tag, on_line) > 5.0
     assert occlusion_loss_db(antenna, tag, off_line) < 1.0
+    # The production per-read kernel agrees.
+    lines = SightLines.between(antenna, np.array([tag.as_tuple()]))
+    body = np.stack([
+        np.array(pose.position.as_tuple()) + pose.body_offsets()
+        for pose in (on_line, off_line)
+    ])
+    on, off = occlusion_loss_db_rows(lines, np.array([0, 0]), body)
+    assert on > 5.0 and off < 1.0
 
 
 def test_height_profile_grows_with_speed():

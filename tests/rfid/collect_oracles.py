@@ -3,15 +3,17 @@
 These are the bodies the reader ran beside its engine before the engine
 became its only collection path: the slot-by-slot Gen2 MAC, per-tag
 ``ChannelModel`` readability, and one ``ChannelModel`` per read on that
-read's fluttered image antennas.  ``Reader`` must reproduce them bit for
-bit, and the tests compare the two with ``==`` (never approx):
+read's fluttered image antennas.  ``Reader`` must reproduce their report
+logs bit for bit, and the tests compare the two with ``==`` (never
+approx):
 
 * :class:`Gen2Inventory` walks every slot of every framed-slotted-ALOHA
   round in Python, with the Q-algorithm adapting between slots, and
   yields one :class:`SlotOutcome` per slot;
 * :func:`scalar_collect` is a collect over a reader's public state
   (``antenna``, ``array``, ``config``, ``environment``, ``noise``,
-  ``rng``) that keeps its own Doppler history.
+  ``rng``) that keeps its own Doppler history, reading through the scalar
+  per-read references of ``tests/physics/read_oracles.py``.
 
 Nothing in ``src/`` may import this module.
 """
@@ -26,8 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.physics.channel import ChannelModel, Scatterer
-from repro.physics.hand import HandPose, occlusion_loss_db
-from repro.physics.noise import doppler_estimate_hz
+from repro.physics.hand import HandPose
 from repro.rfid.protocol import (
     PROFILE_DENSE,
     InventoryStats,
@@ -36,6 +37,8 @@ from repro.rfid.protocol import (
 )
 from repro.rfid.reports import ReportLog, TagReadReport
 from repro.units import db_to_linear
+
+from ..physics.read_oracles import doppler_estimate_hz, observe, occlusion_loss_db
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,8 @@ def scalar_observe(
     pose: Optional[HandPose],
 ) -> TagReadReport:
     """One read: a ``ChannelModel`` on this read's fluttered image antennas,
-    its roundtrip, the circuit phase offsets and ``noise.observe``."""
+    its roundtrip, the circuit phase offsets and the scalar receiver
+    (``read_oracles.observe``)."""
     config = reader.config
     tag = reader.array.tags[tag_index]
     scatterers = _scatterers(pose)
@@ -227,13 +231,13 @@ def scalar_observe(
     # detuning a hovering hand imposes on the tag.
     s *= cmath.exp(-1j * (config.theta_reader + tag.theta_tag + detune))
 
-    rss_dbm, phase = reader.noise.observe(s, reader.rng)
+    rss_dbm, phase = observe(reader.noise, s, reader.rng)
 
     doppler = 0.0
     if tag_index in history:
         t_prev, phase_prev = history[tag_index]
         if t > t_prev:
-            doppler = doppler_estimate_hz(phase, phase_prev, t - t_prev, config.wavelength)
+            doppler = doppler_estimate_hz(phase, phase_prev, t - t_prev)
     history[tag_index] = (t, phase)
 
     return TagReadReport(

@@ -7,7 +7,9 @@ from repro.physics.hand import HandPose
 from repro.physics.multipath import location_preset
 from repro.rfid.deployment import deploy_array
 from repro.rfid.reader import Reader, ReaderConfig
-from repro.units import TWO_PI
+from repro.units import PHASE_QUANTUM_RAD, TWO_PI
+
+from ..physics.read_oracles import doppler_estimate_hz
 
 
 @pytest.fixture()
@@ -95,3 +97,63 @@ def test_collect_with_hand_changes_reports(rng):
 def test_inventory_stats_exposed(reader):
     reader.collect_static(0.5)
     assert reader.last_inventory_stats.successes > 0
+
+
+def _scalar_doppler(history, times, winners, phases):
+    """The per-read Doppler loop the reader's array fold replaces: reads in
+    emit order, each against its tag's previous read in ``history``."""
+    out = []
+    for w, t, phase in zip(winners.tolist(), times.tolist(), phases.tolist()):
+        doppler = 0.0
+        prev = history.get(w)
+        if prev is not None and t > prev[0]:
+            doppler = doppler_estimate_hz(phase, prev[1], t - prev[0])
+        history[w] = (t, phase)
+        out.append(doppler)
+    return np.array(out)
+
+
+class TestDopplerFold:
+    """``Reader._doppler`` equals the scalar per-read loop bit for bit."""
+
+    def _windows(self, rng):
+        def quantised(n):
+            return rng.integers(0, int(TWO_PI / PHASE_QUANTUM_RAD) + 1, n) * PHASE_QUANTUM_RAD % TWO_PI
+
+        def window(t0, n, tags):
+            times = np.sort(t0 + rng.uniform(0.0, 1.0, n))
+            times[n // 2] = times[n // 2 - 1]  # one repeated clock
+            return times, rng.choice(tags, n), quantised(n)
+
+        everyone = np.arange(25)
+        yield "first", window(0.0, 300, everyone)
+        yield "history carried over", window(1.0, 300, everyone)
+        yield "restart at t = 0", window(0.0, 200, everyone)
+        yield "one tag", window(1.0, 60, np.array([7]))
+        once = rng.permutation(25)[:12]
+        yield "tags read once", (np.sort(rng.uniform(2.0, 3.0, 12)), once, quantised(12))
+        yield "one read", (np.array([3.5]), np.array([7]), quantised(1))
+
+    def test_array_fold_equals_scalar_loop(self, reader, rng):
+        history = {}
+        for name, (times, winners, phases) in self._windows(rng):
+            want = _scalar_doppler(history, times, winners, phases)
+            got = reader._doppler(times, winners, phases)
+            assert got.tobytes() == want.tobytes(), name
+            if name == "restart at t = 0":
+                # Every tag's first read is older than its history: 0 Hz.
+                _, first = np.unique(winners, return_index=True)
+                assert (got[first] == 0.0).all()
+            if name == "one tag":
+                # Consecutive reads of one tag: both folds fire.
+                dphi = np.diff(phases)
+                assert (dphi > np.pi).any() and (dphi < -np.pi).any()
+                assert (got != 0.0).sum() >= times.size - 2
+
+    def test_reset_forgets_history(self, reader, rng):
+        times, winners, phases = np.array([0.5, 0.6]), np.array([3, 3]), np.array([1.0, 1.5])
+        reader._doppler(times, winners, phases)
+        reader.reset_read_history()
+        got = reader._doppler(times + 1.0, winners, phases)
+        assert got[0] == 0.0
+        assert got.tobytes() == _scalar_doppler({}, times + 1.0, winners, phases).tobytes()
