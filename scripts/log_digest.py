@@ -18,7 +18,8 @@ Every column is hashed by value, the EPC strings included.
 
 After each trial log's line comes a ``decision`` line: one sha256 over
 what the recognizer returns on that log, batch (``detect_motion`` for a
-motion, ``recognize_letter`` for a letter) and streamed (a
+motion, ``recognize_letter`` for a letter, whose segmentation is the
+``StreamSegmenter`` fed the whole log as one chunk) and streamed (a
 ``StreamingSession`` fed 0.1 s chunks).  It covers the windows; per stroke
 its kind, direction, token, window, confidence, opening, features, grey and
 binary bytes, Otsu threshold, trough order and line angle; and the letter

@@ -52,7 +52,6 @@ from .segmentation import (
     SegmentationConfig,
     StreamSegmenter,
     auto_threshold,
-    causal_gates,
     frame_rms,
     segment_strokes,
     window_std,
@@ -118,7 +117,6 @@ __all__ = [
     "binarize",
     "binarize_fixed",
     "calibrate",
-    "causal_gates",
     "circular_mean",
     "circular_std",
     "classify_shape",

@@ -19,10 +19,11 @@ detector adapts to the deployment's noise level.
 The detector is **causal**: the gate at window ``i`` depends only on
 windows ``0..i`` (a running peak of the window stds, clamped between
 ``noise_floor`` and ``threshold``).  Causality is what lets
-:class:`StreamSegmenter` — the incremental, bounded-memory twin of
-:func:`segment_strokes` — emit exactly the same windows from any chunking
-of the same stream, which the property tests under ``tests/stream/``
-enforce bit-for-bit.
+:class:`StreamSegmenter`, the one implementation (incremental, with
+bounded memory), emit exactly the same windows from any chunking of the
+same stream; :func:`segment_strokes` is its one-chunk case, and the tests
+compare every chunking with a whole-log batch reference
+(``tests/core/segmentation_oracles.py``) bit-for-bit.
 """
 
 from __future__ import annotations
@@ -240,81 +241,41 @@ def window_std(rms: np.ndarray, window_frames: int) -> np.ndarray:
     )
 
 
-def causal_gates(stds: np.ndarray, config: SegmentationConfig) -> np.ndarray:
-    """Per-window activity gate from the *prefix* peak of the window stds.
-
-    ``gate[i] = clamp(0.25 * max(stds[:i+1]), noise_floor, threshold)`` —
-    the same adaptive-down behaviour as a global-peak gate once the stroke's
-    peak has been seen, but computable online (the running max is exact in
-    floating point, so the batch and streaming paths agree bitwise).
-    """
-    if stds.size == 0:
-        return stds.astype(float)
-    peaks = np.maximum.accumulate(stds)
-    return np.maximum(config.noise_floor, np.minimum(config.threshold, 0.25 * peaks))
-
-
 def segment_strokes(
     log: ReportLog,
     calibration: StaticCalibration,
     config: SegmentationConfig = SegmentationConfig(),
 ) -> List[SegmentedWindow]:
-    """Detect stroke windows in a session log (Eq. 11-12 + merging)."""
-    times, rms = frame_rms(log, calibration, config.frame_s)
-    if rms.size == 0:
-        return []
-    stds = window_std(rms, config.window_frames)
-    active = stds > causal_gates(stds, config)
+    """Detect stroke windows in a session log (Eq. 11-12 + merging): the
+    whole time-sorted log as one :class:`StreamSegmenter` chunk."""
+    segmenter = StreamSegmenter(calibration, config)
+    ts, tags, phases = log.columns()[:3]
+    return segmenter.ingest(ts, tags, phases) + segmenter.finalize()
 
-    # An active window marks its *centre* frame.  Marking the whole span
-    # would let windows that straddle a stroke edge paint the neighbouring
-    # adjustment interval as active and bridge consecutive strokes — the
-    # centre frame keeps the temporal resolution of the stride-1 sweep.
-    frame_active = np.zeros(rms.size, dtype=bool)
-    half = config.window_frames // 2
-    for i in range(rms.size):
-        if active[i]:
-            frame_active[min(rms.size - 1, i + half)] = True
 
-    segments: List[SegmentedWindow] = []
-    i = 0
-    while i < rms.size:
-        if not frame_active[i]:
-            i += 1
-            continue
-        j = i
-        while j < rms.size and frame_active[j]:
-            j += 1
-        t0 = float(times[i])
-        t1 = float(times[j - 1] + config.frame_s)
-        peak = float(stds[i:j].max()) if j > i else 0.0
-        segments.append(SegmentedWindow(t0, t1, peak))
-        i = j
+def _valley_gate(chunk: np.ndarray, config: SegmentationConfig) -> float:
+    """RMS level below which a segment's frame counts as a valley.
 
-    segments = _merge_close(segments, config.merge_gap_s)
-    segments = _split_valleys(segments, times, rms, stds, config)
-    return [s for s in segments if s.duration >= config.min_stroke_s]
+    Two-term gate: the median alone underestimates the stroke level when
+    a long adjustment period is fused into the segment (it drags the
+    median down), so the 75th percentile — dominated by genuine stroke
+    frames — provides the backstop.
+    """
+    return max(
+        config.valley_fraction * float(np.median(chunk)),
+        0.3 * float(np.percentile(chunk, 75.0)),
+    )
 
 
 def valley_pieces(chunk: np.ndarray, config: SegmentationConfig) -> List[Tuple[int, int]]:
     """Sub-ranges of a segment's RMS chunk after valley splitting.
 
     Returns ``[(a, b), ...]`` index ranges into ``chunk``; a single piece
-    spanning the whole chunk means "no split".  Shared by the batch
-    :func:`segment_strokes` and the incremental :class:`StreamSegmenter` so
-    the two paths cannot drift.
+    spanning the whole chunk means "no split".
     """
     if chunk.size < 6:
         return [(0, int(chunk.size))]
-    # Two-term gate: the median alone underestimates the stroke level
-    # when a long adjustment period is fused into the segment (it drags
-    # the median down), so the 75th percentile — dominated by genuine
-    # stroke frames — provides the backstop.
-    gate = max(
-        config.valley_fraction * float(np.median(chunk)),
-        0.3 * float(np.percentile(chunk, 75.0)),
-    )
-    quiet = chunk < gate
+    quiet = chunk < _valley_gate(chunk, config)
     # Find sustained quiet runs strictly inside the segment.
     pieces: List[Tuple[int, int]] = []
     start = 0
@@ -334,38 +295,6 @@ def valley_pieces(chunk: np.ndarray, config: SegmentationConfig) -> List[Tuple[i
     return pieces
 
 
-def _split_valleys(
-    segments: List[SegmentedWindow],
-    times: np.ndarray,
-    rms: np.ndarray,
-    stds: np.ndarray,
-    config: SegmentationConfig,
-) -> List[SegmentedWindow]:
-    """Split merged segments at sustained RMS valleys.
-
-    std(rms) stays elevated while the hand climbs into / descends out of an
-    adjustment interval, so two strokes separated by a short pause can fuse
-    into one segment.  The RMS *level*, however, dips while the hand is up;
-    a sustained dip well below the segment's median is such a pause.
-    """
-    out: List[SegmentedWindow] = []
-    for seg in segments:
-        lo = int(np.searchsorted(times, seg.t0 - 1e-9))
-        hi = int(np.searchsorted(times, seg.t1 - 1e-9))
-        pieces = valley_pieces(rms[lo:hi], config)
-        if len(pieces) == 1:
-            out.append(seg)
-            continue
-        for a, b in pieces:
-            if b <= a:
-                continue
-            t0 = float(times[lo + a])
-            t1 = float(times[lo + b - 1] + config.frame_s)
-            peak = float(stds[lo + a : lo + b].max()) if b > a else seg.peak_std_rms
-            out.append(SegmentedWindow(t0, t1, peak))
-    return out
-
-
 def stitch_windows(
     tile_windows: "List[List[SegmentedWindow]]",
     gap: float = SegmentationConfig().merge_gap_s,
@@ -375,12 +304,12 @@ def stitch_windows(
     When a trajectory crosses a tile boundary each tile sees only its
     half of the stroke, so the per-tile segmenters emit overlapping (or
     nearly adjacent) windows.  Stitching is the same closure rule
-    :func:`_merge_close` applies within one pad — windows whose gap is
-    ``<= gap`` coalesce, keeping the max peak — generalized to inputs
-    from several tiles, whose windows may overlap or nest arbitrarily
-    rather than arriving disjoint and sorted.  One tile's windows pass
-    through unchanged, so the 1x1 workspace stitches to exactly its own
-    segmentation.
+    :meth:`StreamSegmenter._close_run` applies within one pad — windows
+    whose gap is ``<= gap`` coalesce, keeping the max peak — generalized
+    to inputs from several tiles, whose windows may overlap or nest
+    arbitrarily rather than arriving disjoint and sorted.  One tile's
+    windows pass through unchanged, so the 1x1 workspace stitches to
+    exactly its own segmentation.
     """
     windows = sorted(
         (w for tile in tile_windows for w in tile),
@@ -398,19 +327,6 @@ def stitch_windows(
         else:
             out.append(w)
     return out
-
-
-def _merge_close(segments: List[SegmentedWindow], gap: float) -> List[SegmentedWindow]:
-    if not segments:
-        return []
-    merged = [segments[0]]
-    for seg in segments[1:]:
-        last = merged[-1]
-        if seg.t0 - last.t1 <= gap:
-            merged[-1] = SegmentedWindow(last.t0, seg.t1, max(last.peak_std_rms, seg.peak_std_rms))
-        else:
-            merged.append(seg)
-    return merged
 
 
 def auto_threshold(
@@ -456,31 +372,34 @@ class _Pending:
 
 
 class StreamSegmenter:
-    """Incremental, bounded-memory twin of :func:`segment_strokes`.
+    """The stroke segmenter: incremental, with bounded memory.
 
     Feed time-ordered read columns with :meth:`ingest`; closed stroke
     windows come back as soon as they are decided.  Call :meth:`finalize`
-    once the stream ends to flush the tail.  For any chunking of a log —
-    including one read at a time — the concatenation of all returned
-    windows is **bit-identical** to ``segment_strokes`` on the whole log
-    (same ``t0``/``t1``/``peak_std_rms`` floats, same order); the property
-    tests under ``tests/stream/`` enforce this.
+    once the stream ends to flush the tail.  :func:`segment_strokes` is
+    the one-chunk case.  For any chunking of a log — including one read at
+    a time — the concatenation of all returned windows is
+    **bit-identical** to that one chunk (same ``t0``/``t1``/
+    ``peak_std_rms`` floats, same order), and to the whole-log batch
+    reference in ``tests/core/segmentation_oracles.py``; the property
+    tests under ``tests/stream/`` and ``tests/core/`` enforce this.
 
     How the equivalence is kept exact:
 
     * reads wait in a columnar buffer (frame index, tag first-appearance
       rank, squared residual, in stream order) until their frame closes;
-      frames close through :func:`_frame_rms_kernel`, the kernel batch
+      frames close through :func:`_frame_rms_kernel`, the kernel
       :func:`frame_rms` calls on the whole log.  The addition order is
       the same for any chunking: ``np.bincount`` adds each (frame, tag)
       bin's reads in stream order, and a frame's tag terms are added left
       to right in global first-appearance order, matching
       ``ReportLog.per_tag``;
-    * a frame closes only when no future read can land in it; the batch
-      path's end-of-log clamp (a read exactly on the final frame boundary
-      folds into the last frame) is replayed at :meth:`finalize`;
-    * the activity gate is the causal prefix-peak of :func:`causal_gates`,
-      so a window's verdict never depends on later signal;
+    * a frame closes only when no future read can land in it; the
+      end-of-log clamp (a read exactly on the final frame boundary folds
+      into the last frame) is applied at :meth:`finalize`;
+    * the activity gate, ``clamp(0.25 * peak, noise_floor, threshold)``,
+      takes the running peak of the window stds seen so far, so a
+      window's verdict never depends on later signal;
     * merge/valley-split/min-duration post-processing is deferred until no
       future frame can change it (the merge gap and the window lookahead
       bound the wait to a few frames).
@@ -520,7 +439,7 @@ class StreamSegmenter:
     # -- geometry ------------------------------------------------------
 
     def frame_time(self, index: int) -> float:
-        """Start time of frame ``index`` (bit-identical to the batch grid)."""
+        """Start time of frame ``index`` (bit-identical to :func:`frame_rms`'s grid)."""
         if self._t_start is None:
             raise ValueError("no reads ingested yet")
         return self._t_start + self.config.frame_s * float(index)
@@ -550,8 +469,8 @@ class StreamSegmenter:
         """Best current guess of the segment still forming: ``(t0, t1, peak)``.
 
         Purely advisory — reading it never mutates segmenter state, so the
-        finalized window stream stays bit-identical to the batch path.  The
-        guess covers:
+        finalized window stream stays bit-identical to one never previewed.
+        The guess covers:
 
         * the pending closed segment (still eligible to merge forward),
           folded with the open active run when the gap between them is
@@ -583,13 +502,7 @@ class StreamSegmenter:
             closed = self._reads.closed
             chunk = self._rms[lo - self._base : closed - self._base]
             arr = np.array(chunk) if chunk else np.array([])
-            if arr.size >= 4:
-                gate = max(
-                    self.config.valley_fraction * float(np.median(arr)),
-                    0.3 * float(np.percentile(arr, 75.0)),
-                )
-            else:
-                gate = 1e-12
+            gate = _valley_gate(arr, self.config) if arr.size >= 4 else 1e-12
             j = hi
             while j < closed and self._rms[j - self._base] >= gate:
                 j += 1
@@ -620,8 +533,8 @@ class StreamSegmenter:
         """Feed one time-ordered chunk of reads; returns windows that closed.
 
         Chunks must arrive in time order (the reader's report stream is
-        ordered); out-of-order streams should go through the batch path,
-        which sorts.
+        ordered); an out-of-order log should go through
+        :func:`segment_strokes`, whose log columns come sorted.
         """
         if self._finalized:
             raise RuntimeError("segmenter already finalized")
@@ -683,18 +596,18 @@ class StreamSegmenter:
         finalize ``upto = n - 1`` with ``total_frames = n`` so the
         shrinking tail windows are included.
         """
-        w = self.config.window_frames
-        while self._next_window <= upto:
-            i = self._next_window
-            std = _window_std(self._rms[i - self._base : i - self._base + w])
+        config = self.config
+        w, floor, ceiling = config.window_frames, config.noise_floor, config.threshold
+        rms, base, peak = self._rms, self._base, self._peak
+        i = self._next_window
+        while i <= upto:
+            std = _window_std(rms[i - base : i - base + w])
             self._stds.append(std)
-            if std > self._peak:
-                self._peak = std
-            gate = max(
-                self.config.noise_floor, min(self.config.threshold, 0.25 * self._peak)
-            )
-            self._active.append(std > gate)
-            self._next_window += 1
+            if std > peak:
+                peak = std
+            self._active.append(std > max(floor, min(ceiling, 0.25 * peak)))
+            i += 1
+        self._next_window, self._peak = i, peak
         self._decide_frames(total_frames)
 
     def _decide_frames(self, total_frames: Optional[int]) -> None:

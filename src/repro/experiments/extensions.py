@@ -128,15 +128,10 @@ def run_holistic(fast: bool = True, seed: int = 7) -> ExperimentResult:
     for letter in letters:
         for _ in range(repeats):
             script = script_for_letter(letter, runner.rng)
-            log = runner.run_script(script)
-            windows = runner.pad.segment(log)
-            strokes = []
-            for w in windows:
-                obs = runner.pad.analyze_window(log, w.t0, w.t1)
-                if obs is not None:
-                    strokes.append(obs)
+            result = runner.pad.recognize_letter(runner.run_script(script))
+            strokes, windows = result.strokes, result.windows
             total += 1
-            hits["grammar"] += runner.pad.grammar.recognize(strokes, windows).letter == letter
+            hits["grammar"] += result.letter == letter
             hits["holistic"] += holistic.recognize(strokes, windows).letter == letter
             hits["hybrid"] += hybrid.recognize(strokes, windows).letter == letter
 

@@ -38,15 +38,9 @@ def run(fast: bool = True, seed: int = 7) -> ExperimentResult:
         hybrid_hits = 0
         for _ in range(repeats):
             script = script_for_letter(letter, runner.rng)
-            log = runner.run_script(script)
-            windows = runner.pad.segment(log)
-            strokes = []
-            for w in windows:
-                obs = runner.pad.analyze_window(log, w.t0, w.t1)
-                if obs is not None:
-                    strokes.append(obs)
-            hits += runner.pad.grammar.recognize(strokes, windows).letter == letter
-            hybrid_hits += hybrid.recognize(strokes, windows).letter == letter
+            result = runner.pad.recognize_letter(runner.run_script(script))
+            hits += result.letter == letter
+            hybrid_hits += hybrid.recognize(result.strokes, result.windows).letter == letter
         per_letter[letter] = hits / repeats
         per_letter_hybrid[letter] = hybrid_hits / repeats
 

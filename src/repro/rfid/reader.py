@@ -431,13 +431,12 @@ class Reader:
                 raise ValueError(f"duration must be positive, got {dur}")
         pose_at, pose_at_many = _pose_clocks(hand_pose_at, pose_at_many)
         out = log if log is not None else ReportLog()
-        n_before = len(out)
         total = sum(dur for _, dur in plan)
         with get_tracer().span("reader.collect", duration_s=total) as sp:
             lane = self._inventory(self.rng, plan, pose_at, pose_at_many, total)
             self._emit_lane(lane, out, sp)
         self.last_inventory_stats = lane.stats
-        self._record_metrics(lane, out, n_before)
+        self._record_metrics(lane)
         return out
 
     def _inventory(
@@ -714,7 +713,7 @@ class Reader:
         self._last_phase[w[last]] = ph[last]
         return dopp
 
-    def _record_metrics(self, lane: LaneCollect, out: ReportLog, n_before: int) -> None:
+    def _record_metrics(self, lane: LaneCollect) -> None:
         """Fold one collect() window into the global metrics registry.
 
         Runs entirely *after* the inventory loop so the hot path carries no
@@ -735,15 +734,14 @@ class Reader:
         metrics.inc("reader.rounds_discarded", lane.discarded)
         metrics.set_gauge("reader.read_rate_hz", stats.read_rate)
         metrics.observe("reader.slot_efficiency", stats.efficiency)
-        per_tag: Dict[int, int] = {}
-        for i in range(n_before, len(out)):
-            report = out[i]
-            per_tag[report.tag_index] = per_tag.get(report.tag_index, 0) + 1
-        for count in per_tag.values():
+        # Each winner is one emitted row, so the lane's winners count this
+        # window's reads per tag, whatever else the caller's log holds.
+        _, per_tag = np.unique(lane.winners, return_counts=True)
+        for count in per_tag.tolist():
             metrics.observe("reader.reads_per_tag_window", float(count))
         # Tags the MAC never delivered this window (unreadable / shadowed):
         # the paper's "unreadable tags" observable (IV-B.1).
-        metrics.inc("reader.unread_tags", len(self.array.tags) - len(per_tag))
+        metrics.inc("reader.unread_tags", len(self.array.tags) - per_tag.size)
         for name, value in self._engine.drain_counters().items():
             metrics.inc(f"channel.{name}", value)
 
@@ -790,12 +788,11 @@ class Reader:
         and metrics the solo path records.
         """
         out = log if log is not None else ReportLog()
-        n_before = len(out)
         self.reset_read_history()
         with get_tracer().span("reader.collect", duration_s=lane.duration) as sp:
             self._emit_lane(lane, out, sp)
         self.last_inventory_stats = lane.stats
-        self._record_metrics(lane, out, n_before)
+        self._record_metrics(lane)
         return out
 
     def reset_read_history(self) -> None:

@@ -46,23 +46,19 @@ def stream_log(
     pad: RFIPad,
     log: ReportLog,
     chunk_s: float = 0.1,
-    bounded: bool = True,
     session: Optional[StreamingSession] = None,
-    session_id: Optional[str] = None,
-    provisional: bool = False,
 ) -> Iterable[StreamEvent]:
     """Run a whole log through a streaming session, yielding events live.
 
     Events surface as soon as their chunk closes them — iterate to react
     per-stroke; the final item is always the finalizing
-    :class:`~repro.stream.LetterEvent`.  ``provisional=True`` additionally
-    yields ``final=False`` previews of the still-forming window and its
-    in-progress letter composition.
+    :class:`~repro.stream.LetterEvent`.  ``session`` defaults to a fresh
+    ``StreamingSession(pad)``; one built with ``provisional=True``
+    additionally yields ``final=False`` previews of the still-forming
+    window and its in-progress letter composition.
     """
     if session is None:
-        session = StreamingSession(
-            pad, bounded=bounded, session_id=session_id, provisional=provisional
-        )
+        session = StreamingSession(pad)
     for chunk in iter_chunks(log, chunk_s):
         yield from session.ingest(chunk)
     yield from session.finalize()
@@ -82,25 +78,16 @@ class LiveDriver:
         self,
         runner: SessionRunner,
         chunk_s: float = 0.1,
-        bounded: bool = True,
-        session_id: Optional[str] = None,
         provisional: bool = False,
     ) -> None:
         self.runner = runner
         self.chunk_s = chunk_s
-        self.bounded = bounded
-        self.session_id = session_id
         self.provisional = provisional
 
     def run_script(self, script: WritingScript) -> StreamingSession:
         """Collect one session and stream it; returns the finished session."""
         log = self.runner.run_script(script)
-        session = StreamingSession(
-            self.runner.pad,
-            bounded=self.bounded,
-            session_id=self.session_id,
-            provisional=self.provisional,
-        )
+        session = StreamingSession(self.runner.pad, provisional=self.provisional)
         for _ in stream_log(
             self.runner.pad, log, self.chunk_s, session=session
         ):

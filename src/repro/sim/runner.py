@@ -349,11 +349,13 @@ class SessionRunner:
 class WorkspaceRunner:
     """Session runner over a tiled workspace (DESIGN.md §15).
 
-    Same trial surface as :class:`SessionRunner`, but the report stream
-    comes from the workspace's duty-cycled multiplexed reader, merged
-    across tiles, and the pipeline is calibrated against the *combined*
-    layout.  For a 1x1 workspace every log this runner produces is
-    bit-identical to ``SessionRunner`` over ``build_scenario(base)``.
+    Collects sessions like :meth:`SessionRunner.run_script`, but the
+    report stream comes from the workspace's duty-cycled multiplexed
+    reader, merged across tiles, and the pipeline is calibrated against
+    the *combined* layout; callers recognize the log through :attr:`pad`
+    and score stitching with :meth:`stitched_trajectory_error`.  For a 1x1
+    workspace every log this runner produces is bit-identical to
+    ``SessionRunner`` over ``build_scenario(base)``.
 
     ``calibration_duration`` is the static capture of a one- or two-tile
     workspace; larger workspaces capture ``tile_count / 2`` times longer,
@@ -386,49 +388,6 @@ class WorkspaceRunner:
     def run_script(self, script: WritingScript) -> ReportLog:
         """Collect the merged workspace report stream for one session."""
         return self.workspace.collect_script(script)
-
-    def run_motion(
-        self,
-        motion: Motion,
-        user: UserProfile = DEFAULT_USER,
-        speed: Optional[float] = None,
-        keep_log: bool = False,
-    ) -> MotionTrial:
-        with get_tracer().span("trial.motion", truth=motion.label) as sp:
-            script = script_for_motion(motion, self.rng, user=user, speed=speed)
-            log = self.run_script(script)
-            observed = self.pad.detect_motion(log)
-            trial = MotionTrial(truth=motion, observed=observed, log_size=len(log))
-            if keep_log:
-                trial.log = log
-            sp.set(
-                observed=observed.label if observed is not None else None,
-                correct=trial.fully_correct,
-                reads=len(log),
-            )
-        SessionRunner._note_motion_trial(trial)
-        return trial
-
-    def run_letter(
-        self, letter: str, user: UserProfile = DEFAULT_USER, keep_log: bool = False
-    ) -> LetterTrial:
-        with get_tracer().span("trial.letter", truth=letter.upper()) as sp:
-            script = script_for_letter(letter, self.rng, user=user)
-            log = self.run_script(script)
-            result = self.pad.recognize_letter(log)
-            trial = LetterTrial(
-                truth=letter.upper(),
-                result=result,
-                true_stroke_intervals=script.stroke_intervals(),
-                true_stroke_tokens=tuple(
-                    s.shape_token for s in LETTER_STROKES[letter.upper()]
-                ),
-            )
-            if keep_log:
-                trial.log = log
-            sp.set(observed=result.letter, correct=trial.correct, reads=len(log))
-        SessionRunner._note_letter_trial(trial)
-        return trial
 
     def stitched_trajectory_error(
         self, log: ReportLog, script: WritingScript

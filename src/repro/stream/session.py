@@ -17,11 +17,12 @@ the batch :class:`~repro.core.pipeline.RFIPad` uses:
 **Equivalence contract** (enforced by ``tests/stream/``): for any log and
 any chunking, the streamed window/stroke/letter sequence is exactly — to
 the float — what ``RFIPad.recognize_letter`` produces on the whole log.
-This works because the segmenter is causal (see
-:class:`~repro.core.segmentation.StreamSegmenter`) and every analysis
-stage reads only ``[t0, t1)`` of the log, so running it over the
-session's retention buffer is indistinguishable from running it over the
-full log.
+This works because batch segmentation is the same
+:class:`~repro.core.segmentation.StreamSegmenter` fed the whole log as
+one chunk, whose causal gate gives the same windows for any chunking,
+and every analysis stage reads only ``[t0, t1)`` of the log, so running
+it over the session's retention buffer is indistinguishable from running
+it over the full log.
 
 **Memory bound**: after each chunk the session discards buffered reads
 older than the segmenter's retention horizon — everything before the
@@ -392,7 +393,6 @@ class WorkspaceSession:
         self,
         pad: RFIPad,
         tile_count: int,
-        bounded: bool = True,
         session_id: Optional[str] = None,
         provisional: bool = False,
     ) -> None:
@@ -401,8 +401,7 @@ class WorkspaceSession:
         self.tile_count = tile_count
         self.session_id = session_id
         self._inner = StreamingSession(
-            pad, bounded=bounded, session_id=session_id,
-            provisional=provisional,
+            pad, session_id=session_id, provisional=provisional
         )
         self._pending: List[ReportLog] = [ReportLog() for _ in range(tile_count)]
         self._marks: List[float] = [-math.inf] * tile_count

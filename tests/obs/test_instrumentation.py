@@ -1,13 +1,17 @@
 """End-to-end instrumentation tests: the pipeline, reader, and runner all
 report through the global tracer / metrics registry."""
 
+import numpy as np
 import pytest
 
 from repro.experiments.base import ExperimentResult, REGISTRY, register, run_experiment
 from repro.motion.script import script_for_letter, script_for_motion
 from repro.motion.strokes import Motion, StrokeKind
-from repro.obs.metrics import get_metrics
+from repro.obs.metrics import Histogram, get_metrics
 from repro.obs.trace import get_tracer
+from repro.rfid.reader import CollectSpec
+from repro.rfid.reports import ReportLog
+from repro.sim.scenario import ScenarioConfig, build_scenario
 
 #: The pipeline stage spans of one detect_motion call (paper Eq. 6-12
 #: order); grammar is the eighth stage, exercised by recognize_letter.
@@ -120,6 +124,33 @@ class TestReaderMetrics:
         (span,) = [s for s in tracer.spans_since(mark) if s.name == "reader.collect"]
         assert span.attrs["reads"] > 0
         assert span.attrs["duration_s"] == 0.5
+
+
+@pytest.mark.parametrize("path", ["collect", "emit_lane"])
+def test_per_tag_metrics_count_only_the_collects_rows(metrics, path):
+    # The caller's log already holds later reads (tag 0 at t = 100 s), so
+    # the collect's rows sort in front of them: the log's tail past its
+    # old length is not this collect's rows.
+    reader = build_scenario(ScenarioConfig(seed=7)).make_reader()
+    n_old = 50
+    log = ReportLog()
+    log.extend_columns(
+        np.full(n_old, 100.0), np.zeros(n_old, dtype=np.int64), np.zeros(n_old),
+        np.full(n_old, -60.0), np.zeros(n_old), ["EPC0000"] * n_old,
+    )
+    if path == "collect":
+        reader.collect(1.0, log=log)
+    else:
+        (lane,) = reader.collect_batch([CollectSpec(duration=1.0)])
+        reader.emit_lane(lane, log=log)
+    ts, tags = log.columns()[:2]
+    read, counts = np.unique(tags[ts < 100.0], return_counts=True)
+    expected = Histogram()
+    for count in counts.tolist():
+        expected.observe(float(count))
+    got = metrics.state()["histograms"]["reader.reads_per_tag_window"]
+    assert got == expected.state()
+    assert metrics.counter_value("reader.unread_tags") == len(reader.array.tags) - read.size
 
 
 class TestRunnerMetrics:

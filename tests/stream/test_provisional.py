@@ -106,6 +106,8 @@ class TestGoldenStream:
 
     def test_stream_log_provisional_flag(self, shared_runner, letter_log):
         pad = shared_runner.pad
-        events = list(stream_log(pad, letter_log, 0.05, provisional=True))
+        events = list(stream_log(
+            pad, letter_log, 0.05, session=StreamingSession(pad, provisional=True)
+        ))
         assert any(not ev.final for ev in events)
         assert isinstance(events[-1], LetterEvent) and events[-1].final

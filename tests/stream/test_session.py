@@ -1,5 +1,6 @@
 """StreamingSession behaviour: bounded retention, lifecycle, and the
-StreamSegmenter's batch equivalence on adversarial synthetic streams."""
+StreamSegmenter's equivalence to the batch reference on adversarial
+synthetic streams."""
 
 import dataclasses
 import math
@@ -7,12 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.segmentation import StreamSegmenter, frame_rms, segment_strokes
+from repro.core.segmentation import StreamSegmenter, frame_rms
 from repro.core.unwrap import fold_to_pi
 from repro.motion.script import script_for_letter, script_for_word
 from repro.rfid.reports import ReportLog
 from repro.sim.live import iter_chunks
 from repro.stream import StreamingSession
+
+from ..core.segmentation_oracles import batch_segment_strokes
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +138,7 @@ def test_report_log_drop_before(shared_runner):
 
 
 # ---------------------------------------------------------------------------
-# StreamSegmenter vs segment_strokes on synthetic adversarial streams
+# StreamSegmenter vs the batch reference on synthetic adversarial streams
 # ---------------------------------------------------------------------------
 
 
@@ -163,7 +166,7 @@ def test_stream_segmenter_matches_batch_on_synthetic_logs(shared_runner, rng):
     config = shared_runner.pad.config.segmentation
     for _ in range(3):
         log = _synthetic_log(calibration, rng)
-        expected = segment_strokes(log, calibration, config)
+        expected = batch_segment_strokes(log, calibration, config)
         ts, tags, phases = log.columns()[0], log.columns()[1], log.columns()[2]
         segmenter = StreamSegmenter(calibration, config)
         got = []
@@ -334,7 +337,7 @@ def test_stream_segmenter_matches_oracle_and_batch_on_adversarial_streams(
         log = _adversarial_log(calibration, rng, config.frame_s)
         ts, tags, phases = log.columns()[:3]
         _, batch_rms = frame_rms(log, calibration, config.frame_s)
-        expected = segment_strokes(log, calibration, config)
+        expected = batch_segment_strokes(log, calibration, config)
         segmenter = StreamSegmenter(calibration, config)
         oracle = StreamSegmenter(calibration, config)
         oracle._reads = PerReadFrames(calibration)
