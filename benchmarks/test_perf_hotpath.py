@@ -22,7 +22,7 @@ import json
 import os
 import subprocess
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.motion.strokes import all_motions
 from repro.obs.trace import get_tracer

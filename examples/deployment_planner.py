@@ -12,8 +12,7 @@ Run:  python examples/deployment_planner.py
 from repro import ScenarioConfig, SessionRunner, all_motions, build_scenario, score_motion_trials
 from repro.physics.antenna import minimum_plane_distance, plane_side_for_grid
 from repro.physics.coupling import ALL_DESIGNS, aggregate_shadow_loss_db, pair_shadow_loss_db
-from repro.physics.geometry import GridLayout, Vec3
-from repro.units import dbm_to_watts, watts_to_dbm
+from repro.physics.geometry import GridLayout
 
 
 def main() -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from ..motion.letters import LETTER_STROKES, StrokeSpec
@@ -171,15 +172,27 @@ def _normalise_boxes(
     return out
 
 
-def letter_geometry(letter: str) -> List[StrokeGeometry]:
-    """Normalised per-stroke placement of a letter's specification."""
+@lru_cache(maxsize=None)
+def _spec_geometry(letter: str) -> Tuple[StrokeGeometry, ...]:
+    """Normalised per-stroke placement of a letter's specification, built
+    once per process (``letter`` is upper case)."""
     boxes = []
-    for spec in LETTER_STROKES[letter.upper()]:
+    for spec in LETTER_STROKES[letter]:
         pts = _spec_polyline(spec)
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
         boxes.append((min(xs), max(xs), min(ys), max(ys)))
-    return _normalise_boxes(boxes)
+    return tuple(_normalise_boxes(boxes))
+
+
+def letter_geometry(letter: str) -> List[StrokeGeometry]:
+    """Normalised per-stroke placement of a letter's specification.
+
+    The geometry is static, so it is built once per process; each call
+    returns a fresh list of the (frozen) stroke geometries, so no caller
+    can change what the next one gets.
+    """
+    return list(_spec_geometry(letter.upper()))
 
 
 def observed_geometry(strokes: Sequence[StrokeObservation]) -> List[StrokeGeometry]:
@@ -266,14 +279,23 @@ class TreeGrammar:
         the segmenter owns stroke-count errors, and padding alignments here
         would double-charge them.
         """
-        specs = LETTER_STROKES[letter.upper()]
+        return self._score(letter.upper(), strokes, observed_geometry(strokes))
+
+    def _score(
+        self,
+        letter: str,
+        strokes: Sequence[StrokeObservation],
+        observed: Sequence[StrokeGeometry],
+    ) -> float:
+        """:meth:`score_letter` given the strokes' :func:`observed_geometry`
+        (``letter`` upper case)."""
+        specs = LETTER_STROKES[letter]
         if len(specs) != len(strokes):
             return float("inf")
         token_cost = sum(
             stroke_pair_cost(obs, spec) for obs, spec in zip(strokes, specs)
         ) / len(specs)
-        expected = letter_geometry(letter)
-        observed = observed_geometry(strokes)
+        expected = _spec_geometry(letter)
         position_cost = sum(o.distance(e) for o, e in zip(observed, expected)) / len(specs)
         return self.token_weight * token_cost + self.position_weight * position_cost
 
@@ -282,12 +304,17 @@ class TreeGrammar:
         strokes: Sequence[StrokeObservation],
         windows: Sequence[SegmentedWindow] = (),
     ) -> LetterResult:
-        """Rank all letters against the observed strokes."""
+        """Rank all letters against the observed strokes.
+
+        Each letter scores as :meth:`score_letter` would, but the strokes'
+        observed geometry is measured once for all candidates.
+        """
         if not strokes:
             return LetterResult(letter=None, strokes=(), windows=tuple(windows))
+        observed = observed_geometry(strokes)
         scored = []
         for letter in LETTER_STROKES:
-            score = self.score_letter(letter, strokes)
+            score = self._score(letter, strokes, observed)
             if math.isfinite(score):
                 scored.append((letter, score))
         scored.sort(key=lambda pair: pair[1])

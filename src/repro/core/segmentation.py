@@ -35,9 +35,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..rfid.reports import ReportLog
+from ..units import TWO_PI
 from .calibration import StaticCalibration
 from .events import SegmentedWindow
-from .unwrap import fold_to_pi_many
 
 
 @dataclass(frozen=True)
@@ -105,75 +105,131 @@ def _frame_rms_kernel(
 class _OpenReads:
     """Columnar buffer of the calibrated reads whose frames are still open.
 
-    Three time-ordered columns hold each read's frame index, its tag's
-    first-appearance rank and its squared calibrated residual.  :meth:`add`
-    fills them a whole chunk at a time through the calibration's
-    :class:`~repro.core.calibration.CalibrationTable` slots;
-    :meth:`close` turns a frame range into RMS values with one
-    :func:`_frame_rms_kernel` call and drops those reads.
+    Three preallocated columns hold each read's frame index, its tag's
+    first-appearance rank and its squared calibrated residual, in stream
+    order; rows ``[_start, _end)`` are live.  Chunks arrive in time order
+    (:meth:`StreamSegmenter.ingest` rejects any other), so the frame
+    column never decreases: :meth:`add` writes a whole chunk past the live
+    end, and :meth:`close` cuts the prefix of rows whose frames close with
+    one ``searchsorted`` and turns it into RMS values with one
+    :func:`_frame_rms_kernel` call on views.  When the columns run out of
+    room the live rows move to the front, into doubled columns only if
+    they and the new chunk would fill more than half, so the memory held
+    follows the open reads, not the session's length.
     """
 
+    #: Rows a buffer starts with: a few 0.1 s chunks of a 25-tag pad.
+    _CAPACITY = 256
+
     def __init__(self, calibration: StaticCalibration) -> None:
-        self._table = calibration.table
-        self._rank = np.full(self._table.top + 1, -1, dtype=np.int64)
+        table = calibration.table
+        self._lo = table.lo
+        self._centre = table.centre
+        # Per slot: the tag's first-appearance rank, -1 for a calibrated
+        # tag not seen yet, -2 for an uncalibrated slot (the two sentinel
+        # slots included).
+        self._rank = np.where(table.known, -1, -2)
         self.n_ranks = 0
         self.closed = 0  # frames before this index are closed
-        self._frames = np.empty(0, dtype=np.int64)
-        self._ranks = np.empty(0, dtype=np.int64)
-        self._squares = np.empty(0)
+        self._start = self._end = 0
+        self._frames = np.empty(self._CAPACITY, dtype=np.int64)
+        self._ranks = np.empty(self._CAPACITY, dtype=np.int64)
+        self._squares = np.empty(self._CAPACITY)
 
     def add(self, frames: np.ndarray, tags: np.ndarray, phases: np.ndarray) -> None:
-        """Append one time-ordered chunk.
+        """Append one non-empty, time-ordered chunk.
 
-        Reads of uncalibrated tags are skipped, and so are reads in an
-        already closed frame, which only a chunk out of time order holds.
+        A tag's slot is ``clip(tag - lo, 0, top)``, as
+        :meth:`~repro.core.calibration.CalibrationTable.slots` computes it;
+        reads of uncalibrated tags are skipped.
         """
-        table = self._table
-        slot = table.slots(tags)
-        keep = table.known[slot] & (frames >= self.closed)
-        if not keep.all():
-            frames, slot, phases = frames[keep], slot[keep], phases[keep]
-        ranks = self._rank[slot]
-        fresh = ranks < 0
+        slot = np.asarray(tags) - self._lo
+        ranks = self._rank.take(slot, mode="clip")
+        if ranks.min() < 0:
+            frames, slot, phases, ranks = self._rank_new(frames, slot, phases, ranks)
+        start = self._end
+        end = start + ranks.size
+        if end > self._frames.size:
+            self._make_room(ranks.size)
+            start, end = self._end, self._end + ranks.size
+        self._frames[start:end] = frames
+        self._ranks[start:end] = ranks
+        # fold_to_pi_many's operations in place, then the square.
+        d = self._squares[start:end]
+        np.subtract(phases, self._centre[slot], out=d)
+        d += math.pi
+        np.fmod(d, TWO_PI, out=d)
+        d[d <= 0.0] += TWO_PI
+        d -= math.pi
+        d *= d
+        self._end = end
+
+    def _rank_new(
+        self, frames: np.ndarray, slot: np.ndarray, phases: np.ndarray, ranks: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Rank the chunk's first-seen tags in order of appearance and
+        drop its reads of uncalibrated tags."""
+        fresh = ranks == -1
         if fresh.any():
             uniq, first = np.unique(slot[fresh], return_index=True)
             order = uniq[np.argsort(first, kind="stable")]
             self._rank[order] = np.arange(self.n_ranks, self.n_ranks + order.size)
             self.n_ranks += order.size
-            ranks = self._rank[slot]
-        residuals = fold_to_pi_many(phases - table.centre[slot])
-        self._frames = np.concatenate((self._frames, frames))
-        self._ranks = np.concatenate((self._ranks, ranks))
-        self._squares = np.concatenate((self._squares, residuals * residuals))
+            ranks = self._rank.take(slot, mode="clip")
+        keep = ranks >= 0
+        if not keep.all():
+            frames, slot, phases, ranks = frames[keep], slot[keep], phases[keep], ranks[keep]
+        return frames, slot, phases, ranks
+
+    def _make_room(self, n: int) -> None:
+        """Move the live rows to the front of columns with room for ``n``
+        more, doubling them while the rows would fill more than half."""
+        start, live = self._start, self._end - self._start
+        size = self._frames.size
+        while 2 * (live + n) > size:
+            size *= 2
+
+        def moved(column: np.ndarray) -> np.ndarray:
+            out = column if size == column.size else np.empty(size, dtype=column.dtype)
+            out[:live] = column[start : start + live]
+            return out
+
+        self._frames, self._ranks, self._squares = (
+            moved(self._frames), moved(self._ranks), moved(self._squares)
+        )
+        self._start, self._end = 0, live
 
     def close(self, upto: int, fold_last: bool = False) -> np.ndarray:
         """RMS of frames ``[closed, upto)``; their reads leave the buffer.
 
         ``fold_last`` is the end-of-log clamp: every read at or past
-        ``upto`` folds into frame ``upto - 1``.
+        ``upto`` folds into frame ``upto - 1``, so every row closes.
         """
-        frames = self._frames
+        start, end = self._start, self._end
+        frames = self._frames[start:end]
         if fold_last:
             frames = np.minimum(frames, upto - 1)
-        done = frames < upto
+        else:
+            end = start + int(frames.searchsorted(upto))
+            frames = frames[: end - start]
         rms = _frame_rms_kernel(
-            frames[done] - self.closed, self._ranks[done], self._squares[done],
+            frames - self.closed, self._ranks[start:end], self._squares[start:end],
             upto - self.closed, self.n_ranks,
         )
-        keep = ~done
-        self._frames = frames[keep]
-        self._ranks = self._ranks[keep]
-        self._squares = self._squares[keep]
+        self._start = end
         self.closed = upto
         return rms
 
     def peek(self, index: int) -> Optional[float]:
         """RMS of open frame ``index`` so far (``None`` if it has no reads)."""
-        sel = self._frames == index
-        if not sel.any():
+        start = self._start
+        lo, hi = self._frames[start:self._end].searchsorted((index, index + 1))
+        if lo == hi:
             return None
         return float(_frame_rms_kernel(
-            self._frames[sel] - index, self._ranks[sel], self._squares[sel],
+            self._frames[start + lo : start + hi] - index,
+            self._ranks[start + lo : start + hi],
+            self._squares[start + lo : start + hi],
             1, self.n_ranks,
         )[0])
 
@@ -374,8 +430,9 @@ class _Pending:
 class StreamSegmenter:
     """The stroke segmenter: incremental, with bounded memory.
 
-    Feed time-ordered read columns with :meth:`ingest`; closed stroke
-    windows come back as soon as they are decided.  Call :meth:`finalize`
+    Feed read columns with :meth:`ingest`, every read in time order (a
+    chunk with a decreasing timestamp raises ``ValueError``); closed
+    stroke windows come back as soon as they are decided.  Call :meth:`finalize`
     once the stream ends to flush the tail.  :func:`segment_strokes` is
     the one-chunk case.  For any chunking of a log — including one read at
     a time — the concatenation of all returned windows is
@@ -386,14 +443,15 @@ class StreamSegmenter:
 
     How the equivalence is kept exact:
 
-    * reads wait in a columnar buffer (frame index, tag first-appearance
-      rank, squared residual, in stream order) until their frame closes;
-      frames close through :func:`_frame_rms_kernel`, the kernel
-      :func:`frame_rms` calls on the whole log.  The addition order is
-      the same for any chunking: ``np.bincount`` adds each (frame, tag)
-      bin's reads in stream order, and a frame's tag terms are added left
-      to right in global first-appearance order, matching
-      ``ReportLog.per_tag``;
+    * reads wait in :class:`_OpenReads` (frame index, tag first-appearance
+      rank, squared residual, in stream order) until their frame closes.
+      Every read arrives in time order, so a closing frame range is a
+      prefix of those columns, cut without copying; frames close through
+      :func:`_frame_rms_kernel`, the kernel :func:`frame_rms` calls on
+      the whole log.  The addition order is the same for any chunking:
+      ``np.bincount`` adds each (frame, tag) bin's reads in stream order,
+      and a frame's tag terms are added left to right in global
+      first-appearance order, matching ``ReportLog.per_tag``;
     * a frame closes only when no future read can land in it; the
       end-of-log clamp (a read exactly on the final frame boundary folds
       into the last frame) is applied at :meth:`finalize`;
@@ -402,7 +460,10 @@ class StreamSegmenter:
       window's verdict never depends on later signal;
     * merge/valley-split/min-duration post-processing is deferred until no
       future frame can change it (the merge gap and the window lookahead
-      bound the wait to a few frames).
+      bound the wait to a few frames).  A pending segment is released as
+      soon as the decided frames show nothing can merge into it, also
+      when the same call decides the next stroke's start, so a window
+      comes back from the call whose reads decide it.
 
     Memory is bounded by the *retention horizon*: everything before
     ``retention_frame()`` — frames, stds, and (for the owning session) raw
@@ -434,6 +495,7 @@ class StreamSegmenter:
         self._run: Optional[Tuple[int, int]] = None   # open active run [lo, hi)
         self._pending: Optional[_Pending] = None
         self._flush_queue: List[_Pending] = []  # promoted segments awaiting emission
+        self._retention = 0                     # retention_frame(), kept by _drain
         self._finalized = False
 
     # -- geometry ------------------------------------------------------
@@ -448,14 +510,10 @@ class StreamSegmenter:
         """First frame index still needed by any future decision.
 
         Reads, RMS values, and stds for frames before this index can never
-        influence a future window, so callers may drop them.
+        influence a future window, so callers may drop them.  Only
+        :meth:`ingest` and :meth:`finalize` move it; each computes it once.
         """
-        candidates = [self._decided, self._next_window]
-        if self._run is not None:
-            candidates.append(self._run[0])
-        if self._pending is not None:
-            candidates.append(self._pending.lo)
-        return min(candidates)
+        return self._retention
 
     def retention_time(self) -> Optional[float]:
         """Timestamp horizon corresponding to :meth:`retention_frame`."""
@@ -530,30 +588,46 @@ class StreamSegmenter:
         tag_indices: np.ndarray,
         phases: np.ndarray,
     ) -> List[SegmentedWindow]:
-        """Feed one time-ordered chunk of reads; returns windows that closed.
+        """Feed one chunk of reads; returns the windows it decided.
 
-        Chunks must arrive in time order (the reader's report stream is
-        ordered); an out-of-order log should go through
-        :func:`segment_strokes`, whose log columns come sorted.
+        Every read must come in time order: within the chunk and after the
+        previous chunk's last read (the reader's report stream is ordered,
+        and ``ReportLog.columns()`` come sorted), or ``ValueError`` is
+        raised before any state changes.  A window comes back from the
+        call whose reads decide it, so any chunking returns each window
+        no later than one read at a time would.
         """
         if self._finalized:
             raise RuntimeError("segmenter already finalized")
         ts = np.asarray(timestamps, dtype=float)
         if ts.size == 0:
             return []
-        if self._t_max is not None and float(ts[0]) < self._t_max:
+        t_first, t_last = float(ts[0]), float(ts[-1])
+        behind = self._t_max is not None and t_first < self._t_max
+        if behind or np.count_nonzero(ts[1:] < ts[:-1]):
             raise ValueError("stream chunks must be time-ordered")
         if self._t_start is None:
-            self._t_start = float(ts[0])
-        self._t_max = float(ts[-1])
-
-        self._reads.add(
-            _frame_index(ts, self._t_start, self.config.frame_s),
+            self._t_start = t_first
+        self._t_max = t_last
+        frame_s = self.config.frame_s
+        reads = self._reads
+        reads.add(
+            _frame_index(ts, self._t_start, frame_s),
             tag_indices,
             np.asarray(phases, dtype=float),
         )
-        self._close_completable_frames()
-        self._advance_windows(upto=self._reads.closed - self.config.window_frames)
+        # Frame j can still change while a future read may land in it
+        # (j >= the newest read's frame) or while the end-of-log clamp may
+        # fold boundary reads down into it (only when the newest read sits
+        # exactly on a frame boundary).  No closed frame, no new verdict.
+        q = (t_last - self._t_start) / frame_s
+        upto = int(q)
+        if q == upto:
+            upto -= 1
+        if upto <= reads.closed:
+            return []
+        self._rms.extend(reads.close(upto).tolist())
+        self._advance_windows(upto - self.config.window_frames)
         return self._drain(final=False)
 
     def finalize(self) -> List[SegmentedWindow]:
@@ -568,80 +642,67 @@ class StreamSegmenter:
         # End-of-log clamp: reads exactly on the final frame boundary fold
         # into the last frame (they are the latest reads, so they stay last
         # in their bins' addition order).
-        self._close_frames(n_frames, fold_last=True)
+        if n_frames > self._reads.closed:
+            self._rms.extend(self._reads.close(n_frames, fold_last=True).tolist())
         self._advance_windows(upto=n_frames - 1, total_frames=n_frames)
         return self._drain(final=True)
-
-    # -- internals: frames ---------------------------------------------
-
-    def _close_completable_frames(self) -> None:
-        # Frame j can still change while a future read may land in it
-        # (j >= current raw frame) or while the end-of-log clamp may fold
-        # boundary reads down into it (only when the newest read sits
-        # exactly on a frame boundary).
-        q = (self._t_max - self._t_start) / self.config.frame_s
-        k_max = int(q)
-        self._close_frames(k_max - 1 if q == float(k_max) else k_max)
-
-    def _close_frames(self, upto: int, fold_last: bool = False) -> None:
-        if upto > self._reads.closed:
-            self._rms.extend(self._reads.close(upto, fold_last).tolist())
 
     # -- internals: windows and verdicts -------------------------------
 
     def _advance_windows(self, upto: int, total_frames: Optional[int] = None) -> None:
-        """Compute window stds/verdicts for indices ``_next_window..upto``.
+        """Compute window stds/verdicts for indices ``_next_window..upto``,
+        then turn the verdicts into per-frame activity, oldest first.
 
         During streaming ``upto = closed - W`` (full windows only); at
         finalize ``upto = n - 1`` with ``total_frames = n`` so the
         shrinking tail windows are included.
-        """
-        config = self.config
-        w, floor, ceiling = config.window_frames, config.noise_floor, config.threshold
-        rms, base, peak = self._rms, self._base, self._peak
-        i = self._next_window
-        while i <= upto:
-            std = _window_std(rms[i - base : i - base + w])
-            self._stds.append(std)
-            if std > peak:
-                peak = std
-            self._active.append(std > max(floor, min(ceiling, 0.25 * peak)))
-            i += 1
-        self._next_window, self._peak = i, peak
-        self._decide_frames(total_frames)
-
-    def _decide_frames(self, total_frames: Optional[int]) -> None:
-        """Turn window verdicts into per-frame activity, oldest first.
 
         A window marks its centre frame; only the final frame additionally
         collects the clamped marks of the trailing windows, and no frame
         decided mid-stream can be the final frame (the newest frame is
         always still open), so mid-stream verdicts are never retracted.
         """
-        half = self.config.window_frames // 2
+        config = self.config
+        w, floor, ceiling = config.window_frames, config.noise_floor, config.threshold
+        rms, base, peak, active = self._rms, self._base, self._peak, self._active
+        i = self._next_window
+        while i <= upto:
+            std = _window_std(rms[i - base : i - base + w])
+            self._stds.append(std)
+            if std > peak:
+                peak = std
+            active.append(std > max(floor, min(ceiling, 0.25 * peak)))
+            i += 1
+        self._next_window, self._peak = i, peak
+        half = w // 2
         if total_frames is None:
-            frontier = self._next_window - 1 + half if self._next_window > 0 else -1
-            frontier = min(frontier, self._reads.closed - 1)
+            frontier = min(i - 1 + half if i > 0 else -1, self._reads.closed - 1)
         else:
             frontier = total_frames - 1
-        while self._decided <= frontier:
-            d = self._decided
+        d = self._decided
+        while d <= frontier:
             if total_frames is not None and d == total_frames - 1:
-                lo = max(0, d - half)
-                marked = any(
-                    self._active[i - self._base] for i in range(lo, total_frames)
-                )
+                marked = any(active[j - base] for j in range(max(0, d - half), total_frames))
             else:
-                i = d - half
-                marked = i >= 0 and self._active[i - self._base]
+                marked = d >= half and active[d - half - base]
             self._step_run(d, marked)
-            self._decided += 1
+            d += 1
+        self._decided = d
         if total_frames is not None and self._run is not None:
             self._close_run()
 
     def _step_run(self, frame: int, marked: bool) -> None:
         if marked:
             if self._run is None:
+                # A run starting past the merge gap can never join the
+                # pending segment, so that segment is final: queue it now,
+                # not when this run closes a whole stroke later.
+                if (
+                    self._pending is not None
+                    and self.frame_time(frame) - self._pending_t1() > self.config.merge_gap_s
+                ):
+                    self._flush_queue.append(self._pending)
+                    self._pending = None
                 self._run = (frame, frame + 1)
             else:
                 self._run = (self._run[0], frame + 1)
@@ -687,7 +748,19 @@ class StreamSegmenter:
                 break
             queue.pop(0)
             out.extend(self._emit(seg))
-        self._compact()
+        # Release ring prefixes that no future decision can touch.
+        keep = min(self._decided, self._next_window)
+        if self._run is not None:
+            keep = min(keep, self._run[0])
+        if self._pending is not None:
+            keep = min(keep, self._pending.lo)
+        self._retention = keep
+        dead = keep - self._base
+        if dead > 64:
+            del self._rms[:dead]
+            del self._stds[:dead]
+            del self._active[:dead]
+            self._base = keep
         return out
 
     def _emit(self, seg: _Pending) -> List[SegmentedWindow]:
@@ -716,13 +789,3 @@ class StreamSegmenter:
                 )
                 windows.append(SegmentedWindow(t0, t1, peak))
         return [w for w in windows if w.duration >= self.config.min_stroke_s]
-
-    def _compact(self) -> None:
-        """Release ring prefixes that no future decision can touch."""
-        keep = self.retention_frame()
-        dead = keep - self._base
-        if dead > 64:
-            del self._rms[:dead]
-            del self._stds[:dead]
-            del self._active[:dead]
-            self._base = keep

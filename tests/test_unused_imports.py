@@ -1,4 +1,5 @@
-"""Lint guard: no module-level import in ``src/`` or ``tests/`` goes unused.
+"""Lint guard: no module-level import in the package, its tests, scripts,
+examples or benchmarks goes unused.
 
 A stand-in for ruff's F401 where ruff is not installed.  An import counts
 as used when its bound name appears as a name (an attribute chain's root
@@ -19,7 +20,7 @@ import pytest
 tomllib = pytest.importorskip("tomllib")  # Python 3.11+
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = ("src", "tests")
+SCANNED = ("src", "tests", "scripts", "examples", "benchmarks")
 
 
 def _exempt() -> Set[Path]:
