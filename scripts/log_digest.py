@@ -8,9 +8,13 @@ bit-identical between two checkouts.
 ``--src`` picks the ``repro`` package to import (default: this checkout's
 ``src/``).  The fixed set covers seeds 1-3 x NLOS/LOS x locations 1-4.
 Per deployment it hashes the calibration log, the serial motion and letter
-batteries (one shared RNG stream, solo ``Reader.collect``) and
-``run_motion_batch``/``run_letter_batch`` over per-trial streams (the
-``collect_batch`` path); then, per mount, the per-tile logs
+batteries (one shared RNG stream) and the same motions and letters on
+per-trial streams, as pool workers run them (``run_seeded_trial``: motion
+i on ``trial_rng(seed, i)``, letter i on ``trial_rng(seed, 13 + i)``).
+Those lines keep their ``motion-batch``/``letter-batch`` labels from when
+a lane batch collected them, so output compares across checkouts, and
+``--src`` may point at a checkout older than ``run_seeded_trial``.  Then,
+per mount, it hashes the per-tile logs
 (``Workspace.collect_tiles``) of one letter on a fresh 2x1 workspace, of a
 2x1 session (its calibration collect, then three consecutive letters, so
 RNG and Doppler state carry between collects) and of one 2x2 letter.
@@ -111,10 +115,25 @@ def decision(pad, log, motion: bool) -> str:
     return h.hexdigest()
 
 
+def _seeded_trial():
+    """``repro.sim.parallel.run_seeded_trial``, or its two steps where the
+    checkout predates it."""
+    try:
+        from repro.sim.parallel import run_seeded_trial
+    except ImportError:
+        from repro.sim.parallel import trial_rng
+
+        def run_seeded_trial(runner, kind, index, item, user, keep_log=False):
+            runner.reseed(trial_rng(runner.scenario.config.seed, index))
+            run = runner.run_motion if kind == "motion" else runner.run_letter
+            return run(item, user=user, keep_log=keep_log)
+
+    return run_seeded_trial
+
+
 def deployment_lines(seed: int, mount: str, location: int):
     from repro.motion.strokes import all_motions
     from repro.motion.user import DEFAULT_USER
-    from repro.sim.parallel import trial_rng
     from repro.sim.runner import SessionRunner
     from repro.sim.scenario import ScenarioConfig, build_scenario
 
@@ -133,15 +152,16 @@ def deployment_lines(seed: int, mount: str, location: int):
         line = f"{tag} letter-serial {i:02d} {trial.truth}"
         yield f"{line} {digest(trial.log)}"
         yield f"{line} decision {decision(pad, trial.log, motion=False)}"
-    items = [(m, DEFAULT_USER, None, trial_rng(seed, i)) for i, m in enumerate(motions)]
-    for i, trial in enumerate(runner.run_motion_batch(items, keep_logs=True)):
+    run_seeded_trial = _seeded_trial()
+    for i, motion in enumerate(motions):
+        trial = run_seeded_trial(runner, "motion", i, motion, DEFAULT_USER, keep_log=True)
         line = f"{tag} motion-batch {i:02d} {trial.truth.label}"
         yield f"{line} {digest(trial.log)}"
         yield f"{line} decision {decision(pad, trial.log, motion=True)}"
-    items = [
-        (c, DEFAULT_USER, trial_rng(seed, len(motions) + i)) for i, c in enumerate(LETTERS)
-    ]
-    for i, trial in enumerate(runner.run_letter_batch(items, keep_logs=True)):
+    for i, letter in enumerate(LETTERS):
+        trial = run_seeded_trial(
+            runner, "letter", len(motions) + i, letter, DEFAULT_USER, keep_log=True
+        )
         line = f"{tag} letter-batch {i:02d} {trial.truth}"
         yield f"{line} {digest(trial.log)}"
         yield f"{line} decision {decision(pad, trial.log, motion=False)}"

@@ -748,8 +748,11 @@ class StreamSegmenter:
                 break
             queue.pop(0)
             out.extend(self._emit(seg))
-        # Release ring prefixes that no future decision can touch.
+        # Release ring prefixes that no future decision can touch; a
+        # segment still queued for its stds needs its frames from ``lo``.
         keep = min(self._decided, self._next_window)
+        if queue:
+            keep = min(keep, queue[0].lo)
         if self._run is not None:
             keep = min(keep, self._run[0])
         if self._pending is not None:

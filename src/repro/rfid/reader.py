@@ -83,6 +83,12 @@ class CollectSpec:
     ``SeedSequence(seed, spawn_key=(index,))`` stream); the lane consumes
     it in exactly the order a solo :meth:`Reader.collect` of the window
     would, which is what makes its log bit-identical to that collect's.
+
+    No battery collects through lanes any more (pool workers run solo
+    trials); this and the two batch methods stay only because the
+    benchmark's layer timers (``perfbench/layers.py``) patch those methods
+    by name.  ROADMAP item 4 deletes them once the benchmark stops
+    patching them.
     """
 
     duration: float
@@ -758,6 +764,10 @@ class Reader:
         :meth:`emit_lane` report log) is bit-identical to a solo
         :meth:`collect` with the same generator state; how lanes are
         grouped into calls changes nothing.
+
+        No program path calls this or :meth:`emit_lane`; both are kept
+        only for the benchmark's layer timers, which patch them by name
+        (see :class:`CollectSpec`).
         """
         for spec in specs:
             if spec.duration <= 0.0:
@@ -785,7 +795,8 @@ class Reader:
         Resets the Doppler history first (lanes are independent trials),
         then replays the lane's accumulated successes through the
         row-batched channel kernel under the same ``reader.collect`` span
-        and metrics the solo path records.
+        and metrics the solo path records.  Kept only for the benchmark's
+        layer timers, like :meth:`collect_batch`.
         """
         out = log if log is not None else ReportLog()
         self.reset_read_history()
@@ -798,9 +809,9 @@ class Reader:
     def reset_read_history(self) -> None:
         """Forget per-tag last-read state (Doppler baselines).
 
-        The parallel battery runner calls this between independent trials
-        so a trial's first Doppler estimate never leaks in from whichever
-        trial the worker ran before it.
+        ``SessionRunner.reseed`` calls this between independent trials so
+        a trial's first Doppler estimate never leaks in from whichever
+        trial the runner ran before it.
         """
         self._last_t.fill(np.nan)
 

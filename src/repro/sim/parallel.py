@@ -28,11 +28,12 @@ does it on interpreter exit).
 
 **Chunking.**  Tasks are split into at most ``min(workers,
 os.cpu_count())`` contiguous chunks (override with
-``REPRO_PARALLEL_CHUNKS``), and each worker runs its whole chunk through
-:meth:`SessionRunner.run_motion_batch` — the reader's round loop, one
-trial after another, each on its own per-trial generator.  Chunking is
-pure scheduling: per-trial RNG streams make the merged battery
-bit-identical for any chunk/worker layout.
+``REPRO_PARALLEL_CHUNKS``), and each worker runs its chunk trial by trial
+through :func:`run_seeded_trial`: reseed the runner with the trial's own
+stream, then run the solo :meth:`SessionRunner.run_motion` or
+:meth:`SessionRunner.run_letter`, the trial bodies the serial loop runs.
+Chunking is pure scheduling: per-trial RNG streams make the merged
+battery bit-identical for any chunk/worker layout.
 
 **Fault containment.**  Each chunk future is awaited with a per-trial
 timeout (``REPRO_TRIAL_TIMEOUT_S`` seconds per trial, default 120).  A
@@ -40,20 +41,25 @@ worker crash (``BrokenProcessPool``) or hang (timeout) evicts the pool
 and cancels what has not started.  A crash also fails every chunk
 running beside the faulty one, so each lost chunk is retried alone on a
 fresh pool, and only a chunk that fails by itself is re-executed
-serially on the parent runner — same seeds, so the recovered battery is
-bit-identical to an undisturbed run, and ``parallel.trials_recovered``
-counts the faulty chunk's trials on any core count.
+serially on the parent runner through the same :func:`run_seeded_trial`
+— same seeds, so the recovered battery is bit-identical to an undisturbed
+run, and ``parallel.trials_recovered`` counts the faulty chunk's trials on
+any core count.  The parent runner's generator and Doppler history are
+put back afterwards, so its later trials do not depend on whether a
+worker failed.
 ``REPRO_PARALLEL_FAULT`` (``crash:<trial>`` / ``hang:<trial>[:secs]``)
 injects such faults for the tests.
 
 **Telemetry relay.**  When the parent's tracer or metrics registry is
 enabled at pool-build time, each worker enables its own registries and
 ships one delta :class:`~repro.obs.telemetry.TelemetrySnapshot` per
-*trial* (captured via the batch runner's ``on_trial`` hook, so reused
-workers never accumulate cross-trial state); the parent folds snapshots
-in submission order.  Worker-side *calibration* telemetry is discarded
-once at init, which keeps merged counter totals worker-count invariant.
-Relayed spans carry ``attrs["relayed"] = True``.
+*trial* (captured after each trial of the chunk, so reused workers never
+accumulate cross-trial state); the parent folds snapshots in submission
+order.  Worker-side *calibration* telemetry is discarded once at init,
+which keeps merged counter totals worker-count invariant.  Relayed spans
+carry ``attrs["relayed"] = True``; each relayed ``trial.motion`` or
+``trial.letter`` span holds its trial's whole ``reader.collect``, as in
+the serial loop.
 
 **Log transport.**  With ``collect_logs=True`` each trial keeps its
 ReportLog, and a worker's trials carry their logs back in the pickled
@@ -72,9 +78,8 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..motion.strokes import Motion
     from ..motion.user import UserProfile
-    from .runner import LetterTrial, MotionTrial, SessionRunner
+    from .runner import SessionRunner
 
 #: Environment knob: default worker count when no explicit value is given.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -206,53 +211,51 @@ def _maybe_inject_fault(indices: Sequence[int]) -> None:
         time.sleep(float(parts[2]) if len(parts) > 2 else 600.0)
 
 
-def _motion_chunk_task(args):
-    """Run one contiguous chunk of motion trials, trial by trial."""
-    chunk, collect_logs = args
-    _maybe_inject_fault([t[0] for t in chunk])
-    runner = _worker_runner
-    seed = runner.scenario.config.seed
-    items = [
-        (motion, user, speed, trial_rng(seed, index))
-        for index, motion, user, speed in chunk
-    ]
+def run_seeded_trial(
+    runner: "SessionRunner",
+    kind: str,
+    index: int,
+    item,
+    user: "UserProfile",
+    keep_log: bool = False,
+):
+    """Trial ``index`` of a battery, on its own stream ``trial_rng(seed, index)``.
+
+    Reseeds ``runner``, then runs the solo trial:
+    :meth:`SessionRunner.run_motion` when ``kind`` is ``"motion"``,
+    :meth:`SessionRunner.run_letter` when it is ``"letter"``.  Pool
+    workers, the parent's crash fallback and ``scripts/log_digest.py``
+    run per-trial-stream trials through here.
+    """
+    runner.reseed(trial_rng(runner.scenario.config.seed, index))
+    if kind == "motion":
+        return runner.run_motion(item, user=user, keep_log=keep_log)
+    return runner.run_letter(item, user=user, keep_log=keep_log)
+
+
+def _chunk_task(args):
+    """Run one contiguous chunk of trials, one telemetry snapshot each."""
+    kind, chunk, user, collect_logs = args
+    _maybe_inject_fault([index for index, _ in chunk])
     pairs = []
-    runner.run_motion_batch(
-        items,
-        on_trial=lambda trial: pairs.append((trial, _task_snapshot())),
-        keep_logs=collect_logs,
-    )
+    for index, item in chunk:
+        trial = run_seeded_trial(_worker_runner, kind, index, item, user, collect_logs)
+        pairs.append((trial, _task_snapshot()))
     return pairs
 
 
-def _letter_chunk_task(args):
-    """Run one contiguous chunk of letter trials, trial by trial."""
-    chunk, collect_logs = args
-    _maybe_inject_fault([t[0] for t in chunk])
-    runner = _worker_runner
-    seed = runner.scenario.config.seed
-    items = [
-        (letter, user, trial_rng(seed, index)) for index, letter, user in chunk
-    ]
-    pairs = []
-    runner.run_letter_batch(
-        items,
-        on_trial=lambda trial: pairs.append((trial, _task_snapshot())),
-        keep_logs=collect_logs,
-    )
-    return pairs
-
-
-def _motion_fallback(runner: "SessionRunner", task, collect_logs: bool):
-    index, motion, user, speed = task
-    runner.reseed(trial_rng(runner.scenario.config.seed, index))
-    return runner.run_motion(motion, user=user, speed=speed, keep_log=collect_logs)
-
-
-def _letter_fallback(runner: "SessionRunner", task, collect_logs: bool):
-    index, letter, user = task
-    runner.reseed(trial_rng(runner.scenario.config.seed, index))
-    return runner.run_letter(letter, user=user, keep_log=collect_logs)
+@contextmanager
+def _parent_stream_kept(runner: "SessionRunner") -> Iterator[None]:
+    """Put back the runner's generator and the reader's Doppler history
+    after trials that reseed it, as if they had run elsewhere."""
+    reader = runner.reader
+    rngs = (runner.scenario.rng, reader.rng)
+    history = (reader._last_t.copy(), reader._last_phase.copy())
+    try:
+        yield
+    finally:
+        runner.scenario.rng, reader.rng = rngs
+        reader._last_t[:], reader._last_phase[:] = history
 
 
 # ----------------------------------------------------------------------
@@ -348,14 +351,16 @@ def _trial_timeout_s() -> float:
     return _DEFAULT_TRIAL_TIMEOUT_S
 
 
-def _run_pool(
+def run_battery_parallel(
     runner: "SessionRunner",
+    kind: str,
+    items: Sequence,
+    user: "UserProfile",
     workers: int,
-    chunk_fn,
-    tasks: list,
-    fallback_fn,
-    collect_logs: bool,
+    collect_logs: bool = False,
 ) -> list:
+    """Run trial ``i`` of ``items`` (motions or letters, per ``kind``) as
+    :func:`run_seeded_trial` on the persistent pool (see module docstring)."""
     from ..obs.metrics import get_metrics
     from ..obs.telemetry import merge_snapshot
     from ..obs.trace import get_tracer
@@ -363,9 +368,12 @@ def _run_pool(
     tracer, metrics = get_tracer(), get_metrics()
     flags = (tracer.enabled, metrics.enabled)
     pool = _get_pool(runner, flags)
+    tasks = list(enumerate(items))
     chunks = _split_chunks(tasks, _chunk_count(workers, len(tasks)))
     timeout = _trial_timeout_s()
-    futures = [pool.submit(chunk_fn, (chunk, collect_logs)) for chunk in chunks]
+    futures = [
+        pool.submit(_chunk_task, (kind, chunk, user, collect_logs)) for chunk in chunks
+    ]
 
     slots: "List[Optional[list]]" = [None] * len(chunks)
     lost: "List[int]" = []
@@ -390,15 +398,17 @@ def _run_pool(
     for ci in lost:
         retry = _get_pool(runner, flags)
         try:
-            slots[ci] = retry.submit(chunk_fn, (chunks[ci], collect_logs)).result(
-                timeout=timeout * len(chunks[ci])
-            )
+            slots[ci] = retry.submit(
+                _chunk_task, (kind, chunks[ci], user, collect_logs)
+            ).result(timeout=timeout * len(chunks[ci]))
             continue
         except (Exception, CancelledError):
             _discard_pool(retry)
-        slots[ci] = [
-            (fallback_fn(runner, task, collect_logs), None) for task in chunks[ci]
-        ]
+        with _parent_stream_kept(runner):
+            slots[ci] = [
+                (run_seeded_trial(runner, kind, index, item, user, collect_logs), None)
+                for index, item in chunks[ci]
+            ]
         recovered += len(chunks[ci])
 
     trials = []
@@ -418,35 +428,3 @@ def _run_pool(
         if recovered:
             metrics.inc("parallel.trials_recovered", float(recovered))
     return trials
-
-
-def run_motion_battery_parallel(
-    runner: "SessionRunner",
-    motions: "Sequence[Motion]",
-    repeats: int,
-    user: "UserProfile",
-    workers: int,
-    collect_logs: bool = False,
-) -> "List[MotionTrial]":
-    """Run a motion battery on the persistent pool (see module docstring)."""
-    ordered = [m for m in motions for _ in range(repeats)]
-    tasks = [(i, m, user, None) for i, m in enumerate(ordered)]
-    return _run_pool(
-        runner, workers, _motion_chunk_task, tasks, _motion_fallback, collect_logs
-    )
-
-
-def run_letter_battery_parallel(
-    runner: "SessionRunner",
-    letters: Sequence[str],
-    repeats: int,
-    user: "UserProfile",
-    workers: int,
-    collect_logs: bool = False,
-) -> "List[LetterTrial]":
-    """Run a letter battery on the persistent pool (see module docstring)."""
-    ordered = [letter for letter in letters for _ in range(repeats)]
-    tasks = [(i, letter, user) for i, letter in enumerate(ordered)]
-    return _run_pool(
-        runner, workers, _letter_chunk_task, tasks, _letter_fallback, collect_logs
-    )

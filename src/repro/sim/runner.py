@@ -8,7 +8,7 @@ generate a script, run inventory over it, and feed the log to the pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from ..motion.strokes import Motion
 from ..motion.user import DEFAULT_USER, UserProfile
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer
-from ..rfid.reader import CollectSpec, Reader
+from ..rfid.reader import Reader
 from ..rfid.reports import ReportLog
 from .scenario import Scenario, build_scenario
 
@@ -104,9 +104,9 @@ class SessionRunner:
     def reseed(self, rng: np.random.Generator) -> None:
         """Swap in a fresh RNG stream for the next trial.
 
-        Used by the parallel battery runner to give every trial an
-        independent, position-derived stream.  Clears the reader's read
-        history so trial state cannot leak across reseeds.
+        :func:`~repro.sim.parallel.run_seeded_trial` calls this to give
+        every trial an independent, position-derived stream.  Clears the
+        reader's read history so trial state cannot leak across reseeds.
         """
         self.scenario.rng = rng
         self.reader.rng = rng
@@ -137,114 +137,13 @@ class SessionRunner:
                 correct=trial.fully_correct,
                 reads=len(log),
             )
-        self._note_motion_trial(trial)
-        return trial
-
-    @staticmethod
-    def _note_motion_trial(trial: MotionTrial) -> None:
         metrics = get_metrics()
         if metrics.enabled:
             metrics.inc("runner.motion_trials")
             metrics.inc("runner.motion_detected", float(trial.detected))
             metrics.inc("runner.motion_shape_correct", float(trial.shape_correct))
             metrics.inc("runner.motion_correct", float(trial.fully_correct))
-
-    def run_motion_batch(
-        self,
-        items: Sequence[Tuple[Motion, UserProfile, Optional[float], np.random.Generator]],
-        on_trial: Optional[Callable[[MotionTrial], None]] = None,
-        keep_logs: bool = False,
-    ) -> List[MotionTrial]:
-        """Run many independent motion trials through one
-        :meth:`Reader.collect_batch`.
-
-        ``items`` rows are ``(motion, user, speed, rng)`` — each trial's
-        private RNG stream, which its lane of the collect consumes exactly
-        as :meth:`reseed` + :meth:`run_motion` would, so every trial's log
-        is bit-identical to its solo counterpart regardless of how trials
-        are grouped into batches.
-        ``on_trial`` fires after each trial's assembly and metrics (the
-        parallel worker captures its per-trial telemetry snapshot there).
-        """
-        if not items:
-            return []
-
-        prepared = []
-        specs = []
-        for motion, user, speed, rng in items:
-            script = script_for_motion(motion, rng, user=user, speed=speed)
-            prepared.append((motion, script))
-            specs.append(
-                CollectSpec(
-                    duration=script.duration,
-                    hand_pose_at=script.hand_pose_at,
-                    rng=rng,
-                )
-            )
-        lanes = self.reader.collect_batch(specs)
-        trials = []
-        for (motion, script), lane in zip(prepared, lanes):
-            with get_tracer().span("trial.motion", truth=motion.label) as sp:
-                log = self.reader.emit_lane(lane)
-                observed = self.pad.detect_motion(log)
-                trial = MotionTrial(
-                    truth=motion, observed=observed, log_size=len(log)
-                )
-                if keep_logs:
-                    trial.log = log
-                sp.set(
-                    observed=observed.label if observed is not None else None,
-                    correct=trial.fully_correct,
-                    reads=len(log),
-                )
-            self._note_motion_trial(trial)
-            if on_trial is not None:
-                on_trial(trial)
-            trials.append(trial)
-        return trials
-
-    def run_motion_battery(
-        self,
-        motions: Sequence[Motion],
-        repeats: int,
-        user: UserProfile = DEFAULT_USER,
-        workers: Optional[int] = None,
-        collect_logs: bool = False,
-    ) -> List[MotionTrial]:
-        """Run ``len(motions) * repeats`` motion trials.
-
-        ``workers`` <= 0 (the default via :func:`~repro.sim.parallel.
-        resolve_workers`) keeps the legacy serial loop, which threads this
-        runner's single RNG through every trial.  ``workers`` >= 1 fans
-        trials out to a process pool with per-trial seeded streams —
-        deterministic in the scenario seed and independent of the worker
-        count, but a *different* (equally valid) draw sequence than the
-        serial loop.  ``collect_logs=True`` attaches each trial's
-        :class:`ReportLog` (pickled back with the trial from workers).
-        """
-        from .parallel import resolve_workers, run_motion_battery_parallel
-
-        n_workers = resolve_workers(workers)
-        self._note_battery(n_workers)
-        if n_workers <= 0:
-            trials = []
-            for motion in motions:
-                for _ in range(repeats):
-                    trials.append(
-                        self.run_motion(motion, user=user, keep_log=collect_logs)
-                    )
-            return trials
-        return run_motion_battery_parallel(
-            self, motions, repeats, user=user, workers=n_workers,
-            collect_logs=collect_logs,
-        )
-
-    @staticmethod
-    def _note_battery(n_workers: int) -> None:
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc("runner.batteries")
-            metrics.set_gauge("runner.battery_workers", float(max(n_workers, 0)))
+        return trial
 
     def run_letter(
         self, letter: str, user: UserProfile = DEFAULT_USER, keep_log: bool = False
@@ -264,60 +163,33 @@ class SessionRunner:
             if keep_log:
                 trial.log = log
             sp.set(observed=result.letter, correct=trial.correct, reads=len(log))
-        self._note_letter_trial(trial)
-        return trial
-
-    @staticmethod
-    def _note_letter_trial(trial: LetterTrial) -> None:
         metrics = get_metrics()
         if metrics.enabled:
             metrics.inc("runner.letter_trials")
             metrics.inc("runner.letter_correct", float(trial.correct))
+        return trial
 
-    def run_letter_batch(
+    def run_motion_battery(
         self,
-        items: Sequence[Tuple[str, UserProfile, np.random.Generator]],
-        on_trial: Optional[Callable[[LetterTrial], None]] = None,
-        keep_logs: bool = False,
-    ) -> List[LetterTrial]:
-        """Letter counterpart of :meth:`run_motion_batch`."""
-        if not items:
-            return []
+        motions: Sequence[Motion],
+        repeats: int,
+        user: UserProfile = DEFAULT_USER,
+        workers: Optional[int] = None,
+        collect_logs: bool = False,
+    ) -> List[MotionTrial]:
+        """Run ``len(motions) * repeats`` motion trials.
 
-        prepared = []
-        specs = []
-        for letter, user, rng in items:
-            script = script_for_letter(letter, rng, user=user)
-            prepared.append((letter, script))
-            specs.append(
-                CollectSpec(
-                    duration=script.duration,
-                    hand_pose_at=script.hand_pose_at,
-                    rng=rng,
-                )
-            )
-        lanes = self.reader.collect_batch(specs)
-        trials = []
-        for (letter, script), lane in zip(prepared, lanes):
-            with get_tracer().span("trial.letter", truth=letter.upper()) as sp:
-                log = self.reader.emit_lane(lane)
-                result = self.pad.recognize_letter(log)
-                trial = LetterTrial(
-                    truth=letter.upper(),
-                    result=result,
-                    true_stroke_intervals=script.stroke_intervals(),
-                    true_stroke_tokens=tuple(
-                        s.shape_token for s in LETTER_STROKES[letter.upper()]
-                    ),
-                )
-                if keep_logs:
-                    trial.log = log
-                sp.set(observed=result.letter, correct=trial.correct, reads=len(log))
-            self._note_letter_trial(trial)
-            if on_trial is not None:
-                on_trial(trial)
-            trials.append(trial)
-        return trials
+        ``workers`` <= 0 (the default via :func:`~repro.sim.parallel.
+        resolve_workers`) keeps the legacy serial loop, which threads this
+        runner's single RNG through every trial.  ``workers`` >= 1 fans
+        trials out to a process pool with per-trial seeded streams —
+        deterministic in the scenario seed and independent of the worker
+        count, but a *different* (equally valid) draw sequence than the
+        serial loop.  Both run every trial through :meth:`run_motion`.
+        ``collect_logs=True`` attaches each trial's :class:`ReportLog`
+        (pickled back with the trial from workers).
+        """
+        return self._run_battery("motion", motions, repeats, user, workers, collect_logs)
 
     def run_letter_battery(
         self,
@@ -328,22 +200,31 @@ class SessionRunner:
         collect_logs: bool = False,
     ) -> List[LetterTrial]:
         """Letter-battery counterpart of :meth:`run_motion_battery`."""
-        from .parallel import resolve_workers, run_letter_battery_parallel
+        return self._run_battery("letter", letters, repeats, user, workers, collect_logs)
+
+    def _run_battery(
+        self,
+        kind: str,
+        items: Sequence,
+        repeats: int,
+        user: UserProfile,
+        workers: Optional[int],
+        collect_logs: bool,
+    ) -> list:
+        from .parallel import resolve_workers, run_battery_parallel
 
         n_workers = resolve_workers(workers)
-        self._note_battery(n_workers)
-        if n_workers <= 0:
-            trials = []
-            for letter in letters:
-                for _ in range(repeats):
-                    trials.append(
-                        self.run_letter(letter, user=user, keep_log=collect_logs)
-                    )
-            return trials
-        return run_letter_battery_parallel(
-            self, letters, repeats, user=user, workers=n_workers,
-            collect_logs=collect_logs,
-        )
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.inc("runner.batteries")
+            metrics.set_gauge("runner.battery_workers", float(max(n_workers, 0)))
+        ordered = [item for item in items for _ in range(repeats)]
+        if n_workers > 0:
+            return run_battery_parallel(
+                self, kind, ordered, user, n_workers, collect_logs=collect_logs
+            )
+        run = self.run_motion if kind == "motion" else self.run_letter
+        return [run(item, user=user, keep_log=collect_logs) for item in ordered]
 
 
 class WorkspaceRunner:

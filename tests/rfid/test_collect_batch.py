@@ -1,22 +1,29 @@
-"""Trial-axis collection: batched batteries must be bitwise solo-equal.
+"""Pool batteries: every trial's log is bitwise its reseeded solo trial's.
 
-The tentpole contract of the trial-axis path: grouping trials into one
-lockstep :meth:`Reader.collect_batch` evaluation — whatever the grouping
-— changes *nothing* observable.  Every trial's ReportLog is byte-for-byte
-the log its solo ``reseed + run_motion`` counterpart collects, because
-each lane keeps its own RNG stream and every shared numpy evaluation is
-bit-identical per lane (see DESIGN.md §13).
+A pool worker runs trial ``i`` of a battery as ``reseed(trial_rng(seed,
+i))`` followed by the solo :meth:`SessionRunner.run_motion` or
+:meth:`~SessionRunner.run_letter`.  So at any worker count, every trial's
+ReportLog must equal, column by column, the log those two steps collect in
+this process.  ``test_lanes_with_mixed_arm_templates`` holds
+``Reader.collect_batch``/``emit_lane`` to the solo collect for as long as
+they remain (DESIGN.md §13).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.motion.strokes import all_motions
-from repro.motion.user import DEFAULT_USER
-from repro.sim.parallel import trial_rng
+from repro.sim.parallel import shutdown_pools, trial_rng
 from repro.sim.runner import SessionRunner
 from repro.sim.scenario import ScenarioConfig, build_scenario
+
+
+@pytest.fixture(autouse=True)
+def _fresh_pools():
+    yield
+    shutdown_pools()
 
 
 def _columns_equal(a, b) -> bool:
@@ -30,110 +37,72 @@ def _columns_equal(a, b) -> bool:
     return True
 
 
-def _motion_items(seed: int, n_each: int):
-    motions = all_motions()[:3]
-    return [
-        (m, DEFAULT_USER, None, trial_rng(seed, i * n_each + j))
-        for i, m in enumerate(motions)
-        for j in range(n_each)
-    ]
+def _pool_and_solo(config: ScenarioConfig, kind: str, items, repeats: int = 1):
+    """The pool battery at ``workers`` 1 and 2, and the reseeded solo loop
+    over the same trials, all on one runner."""
+    runner = SessionRunner(build_scenario(config))
+    if kind == "motion":
+        battery, run = runner.run_motion_battery, runner.run_motion
+    else:
+        battery, run = runner.run_letter_battery, runner.run_letter
+    pooled = [battery(items, repeats, workers=w, collect_logs=True) for w in (1, 2)]
+    solo = []
+    for i, item in enumerate(item for item in items for _ in range(repeats)):
+        runner.reseed(trial_rng(config.seed, i))
+        solo.append(run(item, keep_log=True))
+    return pooled, solo
+
+
+def _assert_motions_equal(pooled, solo) -> None:
+    for trials in pooled:
+        assert len(trials) == len(solo) == 6
+        for tp, ts in zip(trials, solo):
+            assert tp.truth == ts.truth
+            assert (tp.observed is None) == (ts.observed is None)
+            if tp.observed is not None:
+                assert tp.observed.label == ts.observed.label
+            assert tp.log_size == ts.log_size > 0
+            assert _columns_equal(tp.log, ts.log)
+
+
+def _assert_letters_equal(pooled, solo) -> None:
+    for trials in pooled:
+        assert len(trials) == len(solo)
+        for tp, ts in zip(trials, solo):
+            assert tp.truth == ts.truth
+            assert tp.result.letter == ts.result.letter
+            assert len(tp.log) > 0
+            assert _columns_equal(tp.log, ts.log)
 
 
 class TestMotionBatchBitIdentity:
     def test_batch_logs_equal_solo_logs(self):
-        runner = SessionRunner(build_scenario(ScenarioConfig(seed=19)))
-        batched = runner.run_motion_batch(_motion_items(19, 2), keep_logs=True)
-
-        solo = []
-        for motion, user, speed, rng in _motion_items(19, 2):
-            runner.reseed(rng)
-            solo.append(
-                runner.run_motion(motion, user=user, speed=speed, keep_log=True)
-            )
-
-        assert len(batched) == len(solo) == 6
-        for tb, ts in zip(batched, solo):
-            assert tb.truth == ts.truth
-            assert (tb.observed is None) == (ts.observed is None)
-            if tb.observed is not None:
-                assert tb.observed.label == ts.observed.label
-            assert tb.log_size == ts.log_size > 0
-            assert _columns_equal(tb.log, ts.log)
-
-    def test_batch_composition_does_not_change_results(self):
-        # One fat batch vs two sub-batches over the same items: lanes are
-        # independent, so the grouping is pure scheduling.
-        runner = SessionRunner(build_scenario(ScenarioConfig(seed=19)))
-        whole = runner.run_motion_batch(_motion_items(19, 2), keep_logs=True)
-        items = _motion_items(19, 2)
-        split = runner.run_motion_batch(
-            items[:2], keep_logs=True
-        ) + runner.run_motion_batch(items[2:], keep_logs=True)
-        for tw, tsp in zip(whole, split):
-            assert tw.log_size == tsp.log_size
-            assert _columns_equal(tw.log, tsp.log)
+        pooled, solo = _pool_and_solo(ScenarioConfig(seed=19), "motion", all_motions()[:3], 2)
+        _assert_motions_equal(pooled, solo)
 
 
 class TestLetterBatchBitIdentity:
     def test_batch_logs_equal_solo_logs(self):
-        runner = SessionRunner(build_scenario(ScenarioConfig(seed=23)))
-        items = [
-            (letter, DEFAULT_USER, trial_rng(23, i))
-            for i, letter in enumerate(["T", "H", "L"])
-        ]
-        batched = runner.run_letter_batch(items, keep_logs=True)
-
-        solo = []
-        for letter, user, rng in [
-            (letter, DEFAULT_USER, trial_rng(23, i))
-            for i, letter in enumerate(["T", "H", "L"])
-        ]:
-            runner.reseed(rng)
-            solo.append(runner.run_letter(letter, user=user, keep_log=True))
-
-        for tb, ts in zip(batched, solo):
-            assert tb.truth == ts.truth
-            assert tb.result.letter == ts.result.letter
-            assert _columns_equal(tb.log, ts.log)
+        pooled, solo = _pool_and_solo(ScenarioConfig(seed=23), "letter", ["T", "H", "L"])
+        _assert_letters_equal(pooled, solo)
 
 
 class TestLosBatchBitIdentity:
-    """LOS lanes join the template groups with their own occluded bases;
-    every lane must still equal its solo collect."""
+    """LOS trials run under arm occlusion; every pool trial must still
+    equal its solo trial."""
 
     def test_motion_batch_logs_equal_solo_logs(self):
-        runner = SessionRunner(build_scenario(ScenarioConfig(seed=31, mount="los")))
-        items = _motion_items(31, 2)
-        batched = runner.run_motion_batch(items, keep_logs=True)
-        solo = []
-        for motion, user, speed, rng in _motion_items(31, 2):
-            runner.reseed(rng)
-            solo.append(runner.run_motion(motion, user=user, speed=speed, keep_log=True))
-        assert len(batched) == len(solo) == 6
-        for tb, ts in zip(batched, solo):
-            assert tb.log_size == ts.log_size > 0
-            assert _columns_equal(tb.log, ts.log)
+        pooled, solo = _pool_and_solo(
+            ScenarioConfig(seed=31, mount="los"), "motion", all_motions()[:3], 2
+        )
+        _assert_motions_equal(pooled, solo)
 
     def test_letter_batch_logs_equal_solo_logs(self):
-        runner = SessionRunner(
-            build_scenario(ScenarioConfig(seed=37, mount="los", location=4))
+        pooled, solo = _pool_and_solo(
+            ScenarioConfig(seed=37, mount="los", location=4), "letter",
+            ["T", "H", "L", "X", "E"],
         )
-
-        def items():
-            return [
-                (letter, DEFAULT_USER, trial_rng(37, i))
-                for i, letter in enumerate(["T", "H", "L", "X", "E"])
-            ]
-
-        batched = runner.run_letter_batch(items(), keep_logs=True)
-        solo = []
-        for letter, user, rng in items():
-            runner.reseed(rng)
-            solo.append(runner.run_letter(letter, user=user, keep_log=True))
-        for tb, ts in zip(batched, solo):
-            assert tb.result.letter == ts.result.letter
-            assert len(tb.log) > 0
-            assert _columns_equal(tb.log, ts.log)
+        _assert_letters_equal(pooled, solo)
 
     def test_lanes_with_mixed_arm_templates(self):
         # Plain pose callables (no pose_at_many) whose arm template differs

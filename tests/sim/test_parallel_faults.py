@@ -110,3 +110,30 @@ class TestRecoveredLogs:
             for va, vb in zip(a.log.columns(), b.log.columns()):
                 if isinstance(va, np.ndarray):
                     assert np.array_equal(va, vb)
+
+
+class TestFallbackKeepsParentStream:
+    def test_next_serial_trial_ignores_a_recovery(self, monkeypatch):
+        # The serial fallback reseeds the parent runner for each trial it
+        # recovers.  Afterwards the runner must be back on its own stream,
+        # with its own Doppler history, so its next trial is the one an
+        # undisturbed battery leaves it to run.
+        monkeypatch.setenv("REPRO_PARALLEL_CHUNKS", "1")
+        motions = all_motions()
+        after = []
+        for fault in ("crash:0", None):
+            if fault is None:
+                monkeypatch.delenv("REPRO_PARALLEL_FAULT")
+            else:
+                monkeypatch.setenv("REPRO_PARALLEL_FAULT", fault)
+            runner = SessionRunner(build_scenario(ScenarioConfig(seed=43)))
+            runner.run_motion_battery(motions[:2], 1, workers=1)
+            shutdown_pools()
+            after.append(runner.run_motion(motions[3], keep_log=True))
+        faulted, clean = after
+        assert _sig([faulted]) == _sig([clean])
+        for va, vb in zip(faulted.log.columns(), clean.log.columns()):
+            if isinstance(va, np.ndarray):
+                assert np.array_equal(va, vb)
+            else:
+                assert list(va) == list(vb)

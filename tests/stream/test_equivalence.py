@@ -11,10 +11,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.pipeline import RFIPadConfig
+from repro.core.segmentation import SegmentationConfig
 from repro.motion.script import script_for_letter, script_for_motion
 from repro.motion.strokes import Motion, StrokeKind
 from repro.rfid.reports import ReportLog
 from repro.sim.live import iter_chunks, stream_log
+from repro.sim.runner import SessionRunner
+from repro.sim.scenario import ScenarioConfig, build_scenario
 from repro.stream import LetterEvent, StreamingSession
 
 # ---------------------------------------------------------------------------
@@ -135,6 +139,19 @@ def test_letter_stream_equals_batch_one_read_chunks(shared_runner):
     log = shared_runner.run_script(script_for_letter("T", shared_runner.rng))
     session = _stream(pad, single_read_chunks(log))
     assert_letter_equal(session.letter_result, pad.recognize_letter(log))
+
+
+def test_seven_frame_windows_keep_the_reads_of_a_queued_segment():
+    # With 0.7 s windows a finished segment waits in the segmenter's flush
+    # queue until its last window std exists.  The session must keep that
+    # segment's reads meanwhile, or it analyses a truncated window.
+    config = RFIPadConfig(segmentation=SegmentationConfig(window_frames=7))
+    runner = SessionRunner(build_scenario(ScenarioConfig(seed=1)), pipeline_config=config)
+    for letter in "BEGH":
+        log = runner.run_script(script_for_letter(letter, runner.rng))
+        session = _stream(runner.pad, iter_chunks(log, 0.1))
+        assert session.windows == runner.pad.segment(log)
+        assert_letter_equal(session.letter_result, runner.pad.recognize_letter(log))
 
 
 def test_stream_log_yields_events_in_order_and_letter_last(shared_runner):
